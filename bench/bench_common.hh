@@ -83,9 +83,10 @@
  *     hedge_wins             their primary
  *     breaker_trips,         circuit-breaker transitions to Open and
  *     breaker_fast_fails     fetches it rejected while Open
- *     tier_drops,            brownout tier shifts and decisions the
- *     tier_recoveries,       active tier lowered
- *     brownout_capped
+ *     tier_drops,            ladder window-tier shifts and decisions
+ *     tier_recoveries,       a tier's resolution cap lowered
+ *     brownout_capped        (StagedStats ladder.drops /
+ *                            ladder.recoveries / tier_capped)
  *   hedge_p99_gain           tail_base p99 / tail_hedge p99 — the
  *                            gated "hedging cuts the fetch-bound
  *                            tail" headline ratio

@@ -19,11 +19,11 @@
  *                PR 6 defenses: bounded retries with backoff;
  *   full         the same heavy mix with the whole control plane:
  *                BreakerObjectStore (fail-fast instead of hopeless
- *                backoff), hedged reads, and the brownout controller
- *                shedding scan depth / resolution under pressure
- *                (max_tier = 2: the bench measures quality shedding,
- *                not admission rejection, so every request is
- *                served).
+ *                backoff), hedged reads, and a two-rung brownout
+ *                ladder shedding scan depth / resolution under
+ *                pressure (no non-admitting rung: the bench measures
+ *                quality shedding, not admission rejection, so every
+ *                request is served).
  *
  * Headline ratios (both higher-is-better, CI-gated):
  *   overload_goodput_gain   full goodput / retry_only goodput —
@@ -178,28 +178,33 @@ main()
             cfg.overload.hedge.pool_threads = 12;
         }
         if (leg.brownout) {
-            cfg.overload.brownout.enable = true;
-            cfg.overload.brownout.window_s = 0.5;
-            cfg.overload.brownout.min_samples = 6;
-            cfg.overload.brownout.high_pressure = 0.15;
-            // Recovery threshold well under the shed steady-state's
-            // residual bad fraction (~2% retry give-ups), so the tier
-            // holds for the whole storm instead of flapping.
-            cfg.overload.brownout.low_pressure = 0.005;
-            cfg.overload.brownout.min_dwell_s = 0.12;
-            // Engage fast, recover only on sustained health: the
-            // 0.5 s window cannot accumulate 64 samples at this
-            // service rate, so the tier holds for the whole storm
-            // instead of flapping on lucky streaks.
-            cfg.overload.brownout.recovery_samples = 64;
-            cfg.overload.brownout.recovery_dwell_s = 0.6;
             // Shed to a single-scan, single-fetch request: with
             // scan_cap == preview_cap the resume fetch disappears,
             // halving the request's exposure to transient and tail
             // draws — the biggest quality/latency lever this mix has.
-            cfg.overload.brownout.preview_cap = 1;
-            cfg.overload.brownout.scan_cap = 1;
-            cfg.overload.brownout.max_tier = 2; // serve everything
+            // The second rung also floors resolution at the grid's
+            // lowest.
+            QualityTier shallow;
+            shallow.preview_cap = 1;
+            shallow.scan_cap = 1;
+            QualityTier floored = shallow;
+            floored.resolution_cap = scale.resolutions().front();
+            cfg.ladder = {QualityTier{}, shallow, floored};
+            QualityWindowConfig &w = cfg.overload.quality_window;
+            w.window_s = 0.5;
+            w.min_samples = 6;
+            w.high_pressure = 0.15;
+            // Recovery threshold well under the shed steady-state's
+            // residual bad fraction (~2% retry give-ups), so the tier
+            // holds for the whole storm instead of flapping.
+            w.low_pressure = 0.005;
+            w.min_dwell_s = 0.12;
+            // Engage fast, recover only on sustained health: the
+            // 0.5 s window cannot accumulate 64 samples at this
+            // service rate, so the tier holds for the whole storm
+            // instead of flapping on lucky streaks.
+            w.recovery_samples = 64;
+            w.recovery_dwell_s = 0.6;
         }
         StagedServingEngine engine(tier, scale, nullptr, cfg);
 
@@ -280,8 +285,8 @@ main()
             static_cast<unsigned long long>(r.stats.hedges_issued),
             static_cast<unsigned long long>(
                 r.store_stats.breaker_trips),
-            r.stats.brownout_tier,
-            static_cast<unsigned long long>(r.stats.tier_drops));
+            r.stats.ladder.window_tier,
+            static_cast<unsigned long long>(r.stats.ladder.drops));
         results.push_back(r);
     }
 
@@ -332,9 +337,9 @@ main()
                 r.store_stats.breaker_trips),
             static_cast<unsigned long long>(
                 r.store_stats.breaker_fast_fails),
-            static_cast<unsigned long long>(r.stats.tier_drops),
-            static_cast<unsigned long long>(r.stats.tier_recoveries),
-            static_cast<unsigned long long>(r.stats.brownout_capped),
+            static_cast<unsigned long long>(r.stats.ladder.drops),
+            static_cast<unsigned long long>(r.stats.ladder.recoveries),
+            static_cast<unsigned long long>(r.stats.tier_capped),
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f,

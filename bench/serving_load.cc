@@ -145,8 +145,7 @@ main()
             cfg.max_delay_us = 2000;
             cfg.queue_capacity = 16;
             if (shed)
-                cfg.resolution_policy =
-                    makeShedPolicy(0, kShedRes, 2);
+                cfg.ladder = resolutionShedLadder(2, kShedRes);
             cfg.warm_shapes = {{1, 3, kNormalRes, kNormalRes},
                                {4, 3, kNormalRes, kNormalRes}};
             if (shed) {

@@ -3,22 +3,23 @@
  * Overload control plane walkthrough: the staged serving engine rides
  * through a storage storm and back out, with every defense visible —
  * the circuit breaker trips and heals, hedged reads race the injected
- * latency tail, and the brownout controller sheds quality (scan
- * depth, then resolution, then admission) and recovers.
+ * latency tail, and a brownout ladder sheds quality (scan depth,
+ * then resolution, then admission) and recovers.
  *
  * Waves of requests are served across three phases:
  *
  *   clean     the store behaves; everything is Done at full quality;
  *   storm     ~60% of fetches fail and the rest drag a latency tail:
  *             the breaker opens (fail-fast instead of backoff), the
- *             brownout tier climbs to admission rejection;
+ *             ladder climbs to its non-admitting rung;
  *   recovery  the store heals: half-open probes close the breaker,
  *             the tier steps back down, terminals return to Done.
  *
- * The printed per-wave table shows the brownout tier, breaker state,
+ * The printed per-wave table shows the ladder tier, breaker state,
  * and terminal mix shifting as the control plane reacts. Terminal
  * conservation (admitted == done + degraded + failed + expired +
- * shed + rejected) is checked at the end.
+ * shed + rejected + cancelled) is checked at the end; the program
+ * exits 1 when it breaks.
  *
  * Build & run:  ./build/examples/brownout_serving
  */
@@ -102,15 +103,22 @@ main()
     cfg.overload.hedge.enable = true;
     cfg.overload.hedge.min_delay_s = 1e-3;
     cfg.overload.hedge.max_delay_s = 5e-3;
-    cfg.overload.brownout.enable = true;
-    cfg.overload.brownout.window_s = 0.4;
-    cfg.overload.brownout.min_samples = 6;
-    cfg.overload.brownout.high_pressure = 0.5;
-    cfg.overload.brownout.low_pressure = 0.1;
-    cfg.overload.brownout.min_dwell_s = 0.15;
-    cfg.overload.brownout.preview_cap = 1;
-    cfg.overload.brownout.scan_cap = 2;
-    cfg.overload.brownout.max_tier = 3;
+    // The brownout ladder: shallower reads, then the lowest
+    // resolution, then admission refusal. Every rung is reached
+    // through the outcome window, none by queue depth.
+    QualityTier shallow;
+    shallow.preview_cap = 1;
+    shallow.scan_cap = 2;
+    QualityTier floored = shallow;
+    floored.resolution_cap = scale.resolutions().front();
+    QualityTier refusing = floored;
+    refusing.admit = false;
+    cfg.ladder = {QualityTier{}, shallow, floored, refusing};
+    cfg.overload.quality_window.window_s = 0.4;
+    cfg.overload.quality_window.min_samples = 6;
+    cfg.overload.quality_window.high_pressure = 0.5;
+    cfg.overload.quality_window.low_pressure = 0.1;
+    cfg.overload.quality_window.min_dwell_s = 0.15;
     StagedServingEngine engine(breaker, scale, nullptr, cfg);
 
     // --- Waves across clean -> storm -> recovery -------------------
@@ -145,11 +153,11 @@ main()
         }
         const StagedStats st = engine.stats();
         std::printf("%-4d %-9s %5d %-10s %5d %5d %5d %5d %5d\n", wave,
-                    phase_name, st.brownout_tier,
+                    phase_name, st.ladder.window_tier,
                     breakerStateName(breaker.state()), done, degraded,
                     failed, rejected, shed);
         // Give the controllers wall-clock room: the breaker cooldown
-        // and the brownout dwell/idle-recovery are time-based.
+        // and the ladder dwell/idle-recovery are time-based.
         std::this_thread::sleep_for(std::chrono::milliseconds(60));
     }
 
@@ -167,14 +175,14 @@ main()
                 static_cast<unsigned long long>(st.rejected),
                 static_cast<unsigned long long>(st.cancelled));
     std::printf("breaker: trips %llu  fast-fails %llu   hedges: "
-                "issued %llu  wins %llu   brownout: drops %llu  "
+                "issued %llu  wins %llu   ladder: drops %llu  "
                 "recoveries %llu\n",
                 static_cast<unsigned long long>(rs.breaker_trips),
                 static_cast<unsigned long long>(rs.breaker_fast_fails),
                 static_cast<unsigned long long>(st.hedges_issued),
                 static_cast<unsigned long long>(st.hedge_wins),
-                static_cast<unsigned long long>(st.tier_drops),
-                static_cast<unsigned long long>(st.tier_recoveries));
+                static_cast<unsigned long long>(st.ladder.drops),
+                static_cast<unsigned long long>(st.ladder.recoveries));
     std::printf("supervision: reads abandoned %llu  watchdog flags "
                 "%llu\n",
                 static_cast<unsigned long long>(st.reads_abandoned),

@@ -44,34 +44,6 @@ downscalePlane(const float *src, int h, int w, float *dst, int R)
 
 } // namespace
 
-EngineResolutionPolicy
-makeShedPolicy(int normal_resolution, int shed_resolution,
-               int shed_depth)
-{
-    return [=](int queue_depth) {
-        return queue_depth > shed_depth ? shed_resolution
-                                        : normal_resolution;
-    };
-}
-
-EngineTierPolicy
-makeTieredShedPolicy(int normal_resolution, int int8_depth,
-                     int shed_depth, int shed_resolution)
-{
-    tamres_assert(int8_depth <= shed_depth,
-                  "precision sheds before resolution: int8_depth must "
-                  "not exceed shed_depth");
-    return [=](int queue_depth) {
-        ServeTier tier;
-        tier.resolution = normal_resolution;
-        if (queue_depth > int8_depth)
-            tier.int8 = true;
-        if (queue_depth > shed_depth)
-            tier.resolution = shed_resolution;
-        return tier;
-    };
-}
-
 ServingEngine::ServingEngine(Graph &graph, EngineConfig config)
     : graph_(&graph), cfg_(std::move(config)),
       epoch_(std::chrono::steady_clock::now())
@@ -83,6 +55,10 @@ ServingEngine::ServingEngine(Graph &graph, EngineConfig config)
                   "queue must hold at least one full batch");
     tamres_assert(cfg_.latency_samples >= 16,
                   "latency reservoir too small");
+    for (const QualityTier &t : cfg_.ladder)
+        tamres_assert(t.preview_cap == 0 && t.scan_cap == 0 && t.admit,
+                      "flat engine tiers cap resolution and precision "
+                      "only");
 
     pending_.reserve(cfg_.queue_capacity);
     batch_hist_.assign(cfg_.max_batch + 1, 0);
@@ -287,17 +263,16 @@ ServingEngine::workerLoop(int idx)
         }
         pending_.resize(out);
 
-        // Tier decision at formation: precision and resolution come
-        // from the tier policy (or the legacy resolution policy); a
-        // request can also demand int8 outright. Without a quantized
-        // graph the int8 axis degrades to fp32.
+        // Tier decision at formation: the ladder's depth signal caps
+        // resolution and may shed precision; a request can also
+        // demand int8 outright. Without a quantized graph the int8
+        // axis degrades to fp32.
         const int depth = static_cast<int>(pending_.size()) +
                           static_cast<int>(w.items.size());
-        ServeTier tier;
-        if (cfg_.tier_policy)
-            tier = cfg_.tier_policy(depth);
-        else if (cfg_.resolution_policy)
-            tier.resolution = cfg_.resolution_policy(depth);
+        const QualityTier tier =
+            cfg_.ladder.empty()
+                ? QualityTier{}
+                : cfg_.ladder[depthTier(cfg_.ladder, depth)];
         const bool use_int8 =
             (key_int8 || tier.int8) && w.qexec != nullptr;
 
@@ -308,7 +283,7 @@ ServingEngine::workerLoop(int idx)
         // (serveBatch may have thrown before reaching its own stamp).
         bool ok = true;
         try {
-            serveBatch(w, tier.resolution, use_int8);
+            serveBatch(w, tier.resolution_cap, use_int8);
         } catch (const std::exception &e) {
             ok = false;
             const double t_fail = now();
@@ -351,7 +326,7 @@ ServingEngine::workerLoop(int idx)
 }
 
 void
-ServingEngine::serveBatch(Worker &w, int resolution, bool use_int8)
+ServingEngine::serveBatch(Worker &w, int resolution_cap, bool use_int8)
 {
     const double start = now();
     const int n = static_cast<int>(w.items.size());
@@ -359,11 +334,13 @@ ServingEngine::serveBatch(Worker &w, int resolution, bool use_int8)
     const int c = static_cast<int>(first.dim(1));
     const int h = static_cast<int>(first.dim(2));
     const int iw = static_cast<int>(first.dim(3));
-    const bool rescale = resolution > 0 && resolution != h;
+    // A cap only ever shrinks: an input at or below it serves native.
+    const bool rescale =
+        resolution_cap > 0 && resolution_cap < std::max(h, iw);
     tamres_assert(!rescale || h == iw,
                   "resolution shedding needs square inputs");
-    const int rh = rescale ? resolution : h;
-    const int rw = rescale ? resolution : iw;
+    const int rh = rescale ? resolution_cap : h;
+    const int rw = rescale ? resolution_cap : iw;
 
     // Find (or create, first time only) the gather buffer for this
     // (batch, channels, resolution).
@@ -392,7 +369,7 @@ ServingEngine::serveBatch(Worker &w, int resolution, bool use_int8)
                 downscalePlane(src + static_cast<int64_t>(ch) * h * iw,
                                h, iw,
                                dst + static_cast<int64_t>(ch) * rh * rw,
-                               resolution);
+                               rh);
         }
         w.items[i]->queue_s = start - w.items[i]->submit_s_;
     }

@@ -11,12 +11,11 @@
  * weights, and the steady-state batch path performs zero weight
  * packing and zero per-request heap allocation.
  *
- * Load shedding reuses the dynamic-resolution policy of the analytic
- * simulation: a resolution policy sees the queue depth at batch
- * formation and picks the serving resolution; when it sheds, the
- * engine downscales the batch inputs before inference (the paper's
- * "shrink the crop under load" knob, operational instead of
- * simulated). Admission is bounded (submit fails on a full queue) and
+ * Load shedding: at batch formation the queue depth picks a tier of
+ * a quality ladder (core/quality_ladder.hh), and the batch serves at
+ * that tier's resolution cap and precision — downscaled before
+ * inference (the paper's "shrink the crop under load" knob), never
+ * upsampled. Admission is bounded (submit fails on a full queue) and
  * deadline-aware (expired requests are dropped at formation time, not
  * executed).
  *
@@ -29,61 +28,46 @@
  * (wait() blocks for that); request objects are reusable across
  * submissions.
  *
- * Staged pipeline (core/staged_engine.hh): when this engine serves as
- * the backbone stage of a StagedServingEngine, the same rules apply
- * per stage, with the staged engine's collaborators added to the
- * frozen set. LEGAL while the staged engine is serving:
- * Graph::invalidatePlans() (backbone workers recompile), new shapes
- * (each decided resolution compiles its plan on first sight, so warm
- * the expected grid), stats() on any stage, and ObjectStore ranged
- * reads. ILLEGAL while serving: ObjectStore::put (the decode stage
- * holds borrowed EncodedImage references across suspend points), ANY
- * external use of the scale model — inference included, since its
- * forward pass reuses internal activation buffers (the decode
- * workers serialize their own use behind an engine mutex) — mutating
- * a config callback's captured state, and — as always — structural
- * graph mutations or in-place weight writes.
- * The drain-then-mutate recipe is staged.drain() (quiesces decode
- * AND backbone stages), mutate, invalidatePlans(), resume. Requests
- * hand their InferenceRequest member to the inner engine, so a
- * StagedRequest must outlive BOTH stages; the single waiter that
- * calls StagedServingEngine::wait() performs the final handback.
+ * Staged pipeline (core/staged_engine.hh): as the backbone stage of a
+ * StagedServingEngine the same rules apply, with the staged engine's
+ * collaborators added to the frozen set. LEGAL while serving:
+ * Graph::invalidatePlans(), new shapes (each decided resolution
+ * compiles its plan on first sight, so warm the expected grid),
+ * stats() on any stage, and ObjectStore ranged reads. ILLEGAL:
+ * ObjectStore::put (the decode stage holds borrowed EncodedImage
+ * references), ANY external use of the scale model (its forward pass
+ * reuses internal buffers), mutating a config callback's captured
+ * state, and structural graph mutations or in-place weight writes.
+ * To mutate: staged.drain() (quiesces both stages), mutate,
+ * invalidatePlans(), resume. A StagedRequest lends its
+ * InferenceRequest to the inner engine, so it must outlive BOTH
+ * stages; the single waiter of StagedServingEngine::wait() performs
+ * the final handback.
  *
  * Fault containment: every request-scoped failure is a structured
  * terminal state, never a worker crash. A batch whose execution
  * throws marks its members Failed (counted in EngineStats::failed)
- * and the worker keeps serving; other batches are unaffected. In the
- * staged pipeline the storage tier may additionally throw typed
- * Errors (NotFound / Transient / Truncated / Corrupt / Decode, see
- * util/error.hh): the decode stage retries recoverable fetch faults
- * with deadline-bounded exponential backoff (StagedRetryConfig),
- * degrades to the already-decoded scan depth when the retry budget or
- * deadline runs out, and maps unrecoverable faults (missing object,
- * mid-scan entropy damage) to the staged Failed terminal. Worker
- * threads catch all request-scoped exceptions — one poisoned request
- * can never stall or kill a stage.
+ * and the worker keeps serving; other batches are unaffected. The
+ * staged pipeline's typed storage faults, retries and degradation
+ * are documented in core/staged_engine.hh; there too, one poisoned
+ * request can never stall or kill a stage.
  *
- * Overload control plane (staged pipeline; knobs in OverloadConfig,
- * semantics in docs/robustness.md): three fleet-level defenses
- * compose with the per-request ones above. A BreakerObjectStore
- * (storage/breaker.hh) may wrap the store — while it is Open, fetches
- * throw Transient errors with Error::failFast() set, and the decode
- * stage's retry loop must (and does) skip its backoff and degrade
+ * Overload control plane (staged pipeline; semantics in
+ * docs/robustness.md): while a BreakerObjectStore (storage/breaker.hh)
+ * is Open, fetches throw Transient errors with Error::failFast() set,
+ * and the retry loop must (and does) skip its backoff and degrade
  * immediately; handlers added to the fetch path must preserve this
- * rule. Stage-1/4 fetches may be HEDGED: a slow fetch races one
- * backup on a dedicated pool, the first success is adopted, and the
- * loser's bytes still count (bytes_read meters work done, not work
- * used). A brownout controller shifts a quality tier from terminal
- * outcomes: tier 1 caps preview/scan depth, tier 2 sheds resolution,
- * tier 3 REJECTS submissions with the typed Rejected terminal —
- * submit() returning false now means Shed (queue full) OR Rejected
- * (brownout); distinguish via StagedRequest::stateNow(). Terminal
- * conservation is a hard invariant: after every wait() returns,
- * admitted == done + degraded + failed + expired + shed + rejected.
- * All controller decisions (breaker transitions, tier shifts, retry
- * backoff) take time from an injectable Clock (util/clock.hh), so
- * they replay deterministically under test; hedge timing alone is
- * wall-clock, because it races real threads.
+ * rule. Hedged stage-1/4 reads race one backup, and the loser's bytes
+ * still count (bytes_read meters work done, not work used). The
+ * staged quality-tier ladder may refuse a submission with the typed
+ * Rejected terminal, so submit() returning false means Shed (queue
+ * full) OR Rejected; distinguish via StagedRequest::stateNow().
+ * Terminal conservation is a hard invariant: after every wait(),
+ *   admitted == done + degraded + failed + expired + shed + rejected
+ *               + cancelled.
+ * Controller decisions (breaker transitions, tier shifts, retry
+ * backoff) take time from an injectable Clock (util/clock.hh) and
+ * replay deterministically; hedge timing alone is wall-clock.
  */
 
 #ifndef TAMRES_CORE_ENGINE_HH
@@ -93,66 +77,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "core/quality_ladder.hh"
 #include "nn/graph.hh"
 
 namespace tamres {
-
-/**
- * Serving resolution chosen from the queue depth at batch formation
- * (the measured twin of serving.hh's ServicePolicy): return the
- * square resolution to serve the batch at, or 0 to keep each
- * request's native resolution.
- */
-using EngineResolutionPolicy = std::function<int(int queue_depth)>;
-
-/**
- * The Section VIII-a load-shedding rule as engine configuration:
- * serve at shed_resolution while the queue is deeper than shed_depth,
- * else at normal_resolution (0 = native). Matching the analytic
- * simulation's dynamic policy keeps measured and simulated shedding
- * directly comparable.
- */
-EngineResolutionPolicy makeShedPolicy(int normal_resolution,
-                                      int shed_resolution,
-                                      int shed_depth);
-
-/**
- * A serving tier: the resolution to serve at (0 = native) and whether
- * to run the int8 quantized backbone instead of fp32. The engine can
- * shed load along two axes — precision and resolution — and a tier
- * policy picks the combination from the queue depth at batch
- * formation.
- */
-struct ServeTier
-{
-    int resolution = 0; //!< square serving resolution, 0 = native
-    bool int8 = false;  //!< serve on the quantized graph
-};
-
-/**
- * Queue-depth -> tier hook (the two-axis generalization of
- * EngineResolutionPolicy). When set, it replaces the resolution
- * policy. Tiers requesting int8 fall back to fp32 when the engine has
- * no quant_graph.
- */
-using EngineTierPolicy = std::function<ServeTier(int queue_depth)>;
-
-/**
- * Two-stage shedding that drops precision before resolution (int8
- * costs ~1% accuracy proxy where a resolution drop costs more, so it
- * is the cheaper first concession): queue deeper than @p int8_depth
- * serves int8 at normal resolution; deeper than @p shed_depth
- * (>= int8_depth) serves int8 at @p shed_resolution.
- */
-EngineTierPolicy makeTieredShedPolicy(int normal_resolution,
-                                      int int8_depth, int shed_depth,
-                                      int shed_resolution);
 
 /** Terminal and transient request states. */
 enum class RequestState : int
@@ -178,7 +111,7 @@ struct InferenceRequest
     /**
      * Ask for the int8 tier outright (input field): the request only
      * batches with other int8 requests and serves on the quantized
-     * graph when the engine has one. The tier policy can also force
+     * graph when the engine has one. A ladder tier can also force
      * int8 on a whole batch at formation time; served_int8 reports
      * what actually ran.
      */
@@ -215,14 +148,11 @@ struct EngineConfig
     size_t plan_capacity = 32; //!< per-worker executor plan cache
     int latency_samples = 4096; //!< p50/p99 reservoir size
 
-    /** Queue-depth -> resolution hook; null = always native. */
-    EngineResolutionPolicy resolution_policy;
-
     /**
-     * Queue-depth -> (resolution, precision) hook; when set it
-     * replaces resolution_policy (see makeTieredShedPolicy).
+     * Load shedding by queue depth (empty = off). The flat engine
+     * has no decode stage: tiers set only resolution_cap and int8.
      */
-    EngineTierPolicy tier_policy;
+    QualityLadder ladder;
 
     /**
      * The quantized twin of the serving graph (same architecture,
@@ -314,7 +244,7 @@ class ServingEngine
     };
 
     void workerLoop(int idx);
-    void serveBatch(Worker &w, int resolution, bool use_int8);
+    void serveBatch(Worker &w, int resolution_cap, bool use_int8);
     double now() const;
 
     Graph *graph_;

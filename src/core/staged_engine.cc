@@ -105,9 +105,7 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
                                  : &Clock::steady()),
       epoch_s_(clock_->now()),
       hedge_lat_(std::max(1, cfg_.overload.hedge.latency_window)),
-      brown_window_(cfg_.overload.brownout.window_s > 0
-                        ? cfg_.overload.brownout.window_s
-                        : 0.5)
+      ladder_(cfg_.ladder, cfg_.overload.quality_window, *clock_)
 {
     tamres_assert(cfg_.decode_workers >= 1,
                   "staged engine needs >= 1 decode worker");
@@ -116,6 +114,9 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
                   "queue_capacity must be >= 1");
     tamres_assert(!scale_->resolutions().empty(),
                   "scale model has no resolution grid");
+    tamres_assert(cfg_.backbone.ladder.empty(),
+                  "the staged ladder is the only shedding controller: "
+                  "the backbone ladder must be empty");
 
     stats_.resolution_hist.assign(scale_->resolutions().size(), 0);
     if (backbone_)
@@ -161,11 +162,10 @@ StagedServingEngine::submit(StagedRequest &req)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.admitted;
-    // Brownout tier 3: the controller has concluded the system cannot
-    // finish the work it already holds — refuse new work with a typed
-    // terminal the caller can distinguish from a full queue.
-    if (cfg_.overload.brownout.enable &&
-        brownout_tier_.load(std::memory_order_relaxed) >= 3) {
+    // A non-admitting tier: the ladder has concluded the system
+    // cannot finish the work it already holds — refuse new work with
+    // a typed terminal the caller can distinguish from a full queue.
+    if (!ladder_.select(static_cast<int>(queue_.size())).admit) {
         req.latency_s = 0.0;
         req.state.store(static_cast<int>(StagedState::Rejected),
                         std::memory_order_release);
@@ -278,76 +278,15 @@ StagedServingEngine::accountTerminalLocked(const StagedRequest &req,
       default: break;
     }
 
-    const BrownoutConfig &bc = cfg_.overload.brownout;
-    if (!bc.enable)
-        return;
-    const double t = now();
-    // Rejected outcomes are NOT pressure evidence: at tier 3 they are
-    // the controller's own output, and sampling them would latch the
-    // brownout at maximum forever. (Idle recovery below is what walks
-    // a rejecting tier back down.) Cancelled outcomes are excluded
-    // too: a client hanging up says nothing about system pressure.
-    if (terminal != StagedState::Rejected &&
-        terminal != StagedState::Cancelled) {
-        bool bad = terminal != StagedState::Done;
-        if (terminal == StagedState::Done && req.deadline_s > 0.0 &&
-            req.latency_s >
-                (1.0 - bc.headroom_frac) * req.deadline_s)
-            bad = true; // served, but with the deadline nearly spent
-        brown_window_.record(t, bad);
-    }
-    brownoutEvaluateLocked(t);
-}
-
-void
-StagedServingEngine::brownoutEvaluateLocked(double now_s)
-{
-    const BrownoutConfig &bc = cfg_.overload.brownout;
-    if (!bc.enable)
-        return;
-    const int tier = brownout_tier_.load(std::memory_order_relaxed);
-    const int64_t n = brown_window_.total(now_s);
-    const double frac = brown_window_.badFraction(now_s);
-    const double since = now_s - last_shift_s_;
-    const int max_tier = std::clamp(bc.max_tier, 0, 3);
-
-    // Hysteresis: shifts need min_dwell_s between them, evidence
-    // thresholds are asymmetric (high_pressure > low_pressure), and
-    // the window resets on every shift so each tier is judged only on
-    // outcomes produced while it was active. Stepping down may
-    // require extra evidence/patience (recovery_samples /
-    // recovery_dwell_s, defaulting to the symmetric knobs).
-    const int down_samples =
-        bc.recovery_samples > 0 ? bc.recovery_samples : bc.min_samples;
-    const double down_dwell = bc.recovery_dwell_s > 0
-                                  ? bc.recovery_dwell_s
-                                  : bc.min_dwell_s;
-    if (tier < max_tier && n >= bc.min_samples &&
-        frac >= bc.high_pressure && since >= bc.min_dwell_s) {
-        brownout_tier_.store(tier + 1, std::memory_order_relaxed);
-        ++stats_.tier_drops;
-        last_shift_s_ = now_s;
-        brown_window_.reset();
-        return;
-    }
-    if (tier > 0 && n >= down_samples && frac <= bc.low_pressure &&
-        since >= down_dwell) {
-        brownout_tier_.store(tier - 1, std::memory_order_relaxed);
-        ++stats_.tier_recoveries;
-        last_shift_s_ = now_s;
-        brown_window_.reset();
-        return;
-    }
-    // Idle recovery: a tier that sees no outcomes (tier 3 rejects all
-    // submissions, or traffic simply stopped) would otherwise never
-    // collect the evidence to step back down.
-    if (tier > 0 && n == 0 &&
-        since >= std::max(down_dwell, bc.window_s)) {
-        brownout_tier_.store(tier - 1, std::memory_order_relaxed);
-        ++stats_.tier_recoveries;
-        last_shift_s_ = now_s;
-        brown_window_.reset();
-    }
+    // Refusals (the controller's own output) and client hangups are
+    // no pressure evidence; they only tick the controller, which lets
+    // a non-admitting tier recover.
+    if (terminal == StagedState::Rejected ||
+        terminal == StagedState::Cancelled)
+        ladder_.tick();
+    else
+        ladder_.record(terminal == StagedState::Done, req.latency_s,
+                       req.deadline_s);
 }
 
 void
@@ -400,7 +339,7 @@ StagedServingEngine::stats() const
         s = stats_;
         s.decode_queue_depth = static_cast<int>(queue_.size());
     }
-    s.brownout_tier = brownout_tier_.load(std::memory_order_relaxed);
+    s.ladder = ladder_.stats();
     if (cfg_.cache)
         s.cache = cfg_.cache->stats();
     if (inner_)
@@ -435,9 +374,9 @@ StagedServingEngine::decodeLoop()
 
         // Per-stage batching: drain up to decode_batch requests in
         // one wakeup, then process them back to back outside the
-        // lock. The depth reported to the shed policy counts waiting
+        // lock. The depth reported to the ladder counts waiting
         // AND in-hand requests — the same "load at formation time"
-        // the flat engine's policy sees.
+        // the flat engine's ladder sees.
         batch.clear();
         while (!queue_.empty() &&
                batch.size() < static_cast<size_t>(cfg_.decode_batch)) {
@@ -954,7 +893,6 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     int total = 0;
     size_t bytes = 0;
     bool capped = false;
-    bool tier_capped = false;
     bool charged_full = false;
     // Stage-1 cache hit, when any; carried into stage 2 so a hit's
     // ready-made preview pixels are reused.
@@ -970,12 +908,10 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
             req.cancel_.throwIfFired();
     };
 
-    // The brownout tier is sampled ONCE at formation so one request
+    // The quality tier is selected ONCE at formation so one request
     // sees a consistent quality level even if the controller shifts
     // mid-flight.
-    const BrownoutConfig &bc = cfg_.overload.brownout;
-    const int tier =
-        bc.enable ? brownout_tier_.load(std::memory_order_relaxed) : 0;
+    const QualityTier &tier = ladder_.select(depth);
 
     try {
         if (cfg_.fixed_resolution > 0) {
@@ -1001,10 +937,9 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
                         ? cfg_.preview_depth(req.id)
                         : cfg_.preview_scans;
             kprev = std::clamp(kprev, 0, num_scans);
-            // Brownout tier >= 1 caps how much preview evidence a
-            // request may buy: cheaper decisions, shallower reads.
-            if (tier >= 1)
-                kprev = std::min(kprev, std::max(0, bc.preview_cap));
+            // Cheaper decisions, shallower reads.
+            if (tier.preview_cap > 0)
+                kprev = std::min(kprev, tier.preview_cap);
             // Decode cache, stage 1: a cached prefix at or past the
             // preview depth replaces the fetch entirely (zero store
             // bytes charged). The resumed decoder never reads bytes
@@ -1059,42 +994,23 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
                 r_idx = scale_->chooseResolutionIndex(preview);
             }
 
-            // Stage 3: resolution decision — the scale model's
-            // choice, capped by the queue-depth shed policy under
-            // load.
-            const int cap = cfg_.shed_cap ? cfg_.shed_cap(depth) : 0;
-            if (cap > 0 && grid[r_idx] > cap) {
-                int lowered = 0;
-                for (size_t i = 0; i < grid.size(); ++i) {
-                    if (grid[i] <= cap &&
-                        grid[i] >= grid[lowered])
-                        lowered = static_cast<int>(i);
-                }
+            resolution = grid[r_idx];
+        }
+
+        // Stage 3: the tier caps the decision (dynamic or fixed) to
+        // the largest grid resolution <= the cap, else the lowest.
+        if (tier.resolution_cap > 0 && resolution > tier.resolution_cap) {
+            int lowered = 0;
+            for (size_t i = 0; i < grid.size(); ++i) {
+                if (grid[i] <= tier.resolution_cap &&
+                    grid[i] >= grid[lowered])
+                    lowered = static_cast<int>(i);
+            }
+            if (grid[lowered] < resolution) {
                 r_idx = lowered;
+                resolution = grid[lowered];
                 capped = true;
             }
-
-            // Brownout tier >= 2 sheds resolution to a floor
-            // regardless of queue depth — the controller has
-            // evidence the system is not keeping up at current
-            // quality.
-            if (tier >= 2) {
-                const int floor_res =
-                    bc.resolution_cap > 0
-                        ? bc.resolution_cap
-                        : *std::min_element(grid.begin(), grid.end());
-                int lowered = 0;
-                for (size_t i = 0; i < grid.size(); ++i) {
-                    if (grid[i] <= floor_res &&
-                        grid[i] >= grid[lowered])
-                        lowered = static_cast<int>(i);
-                }
-                if (grid[r_idx] > grid[lowered]) {
-                    r_idx = lowered;
-                    tier_capped = true;
-                }
-            }
-            resolution = grid[r_idx];
         }
 
         // Stage 4: ranged read + resumed decode of the remaining
@@ -1110,10 +1026,9 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         total = cfg_.scan_depth ? cfg_.scan_depth(req.id, r_idx)
                                 : num_scans;
         total = std::clamp(total, kprev, num_scans);
-        // Brownout tier >= 1 also caps the total scan depth (never
-        // below what the preview already decoded).
-        if (tier >= 1)
-            total = std::min(total, std::max(bc.scan_cap, kprev));
+        // The scan cap never cuts below the decoded preview.
+        if (tier.scan_cap > 0)
+            total = std::min(total, std::max(tier.scan_cap, kprev));
         // Decode cache, stage 4: a cached prefix strictly deeper than
         // what this request holds (up to the target) lets the decoder
         // jump ahead and fetch only the missing range — the partial
@@ -1194,9 +1109,7 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         stats_.bytes_read += bytes;
         stats_.resolution_hist[static_cast<size_t>(r_idx)] += 1;
         if (capped)
-            ++stats_.shed_cap_applied;
-        if (tier_capped)
-            ++stats_.brownout_capped;
+            ++stats_.tier_capped;
     }
 
     if (!inner_) {
@@ -1253,16 +1166,12 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         req.infer.deadline_s = 0.0;
     }
 
-    // Brownout precision shed: at or past int8_tier the backbone
-    // request is stamped for the quantized graph. Precision comes
-    // before resolution in the degradation ladder (int8_tier is
-    // normally set below the resolution-shedding tier); if the inner
-    // engine carries no quantized graph the flag is a harmless no-op.
-    req.infer.want_int8 = bc.enable && bc.int8_tier > 0 &&
-                          tier >= bc.int8_tier;
+    // Precision shed: an int8 tier stamps the backbone request (a
+    // harmless no-op when the inner engine has no quantized graph).
+    req.infer.want_int8 = tier.int8;
     if (req.infer.want_int8) {
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.brownout_int8;
+        ++stats_.tier_int8;
     }
 
     if (!inner_->submit(req.infer)) {

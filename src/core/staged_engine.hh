@@ -10,11 +10,10 @@
  *                        a resumable ProgressiveDecoder decodes them;
  *   2. preview + scale:  the decoded preview (cropped + resized) runs
  *                        through the scale model;
- *   3. decision:         the scale model's resolution, optionally
- *                        capped by a queue-depth shed policy (the
- *                        same makeShedPolicy machinery the flat
- *                        engine uses) — under load the decision
- *                        stage itself sheds resolution;
+ *   3. decision:         the scale model's resolution, capped by
+ *                        the quality tier the request was formed at
+ *                        (core/quality_ladder.hh) — under load the
+ *                        decision stage itself sheds resolution;
  *   4. remaining decode: a second ranged read fetches exactly the
  *                        additional scans the chosen resolution
  *                        needs and the SAME decoder resumes — no
@@ -47,61 +46,51 @@
  * accuracy is modeled analytically anyway.
  *
  * Fault tolerance: stages 1 and 4 decode from a per-request DELIVERY
- * BUFFER (EncodedImage::headerCopy() plus physically fetched bytes),
- * so storage-tier faults — transient errors, short reads, in-flight
- * corruption (see storage/fault_injection.hh) — damage only that
- * request's copy. Recoverable fetch faults (Error kinds Transient /
- * Truncated / Corrupt, the last caught by the per-scan checksum
- * BEFORE the damaged scan decodes) are retried with exponential
- * backoff + deterministic jitter under StagedRetryConfig; the backoff
- * budget is charged against the request's deadline and the per-stage
- * timeout, so a retry sleep never outlives either. When the budget or
- * attempt cap runs out, the request DEGRADES: it is served at the
- * scan depth already decoded (bit-identical to a clean decode of
- * that prefix), terminal state Degraded. Unrecoverable faults —
- * missing object (NotFound), mid-scan entropy damage (Decode), or a
- * preview/resume that could not decode a single scan — terminate the
- * request as Failed. Worker threads contain every request-scoped
+ * BUFFER (EncodedImage::headerCopy() plus fetched bytes), so storage
+ * faults (storage/fault_injection.hh) damage only that request's
+ * copy. Recoverable fetch faults (Transient / Truncated / Corrupt,
+ * the last caught by the per-scan checksum BEFORE the damaged scan
+ * decodes) are retried with exponential backoff + deterministic
+ * jitter (StagedRetryConfig), charged against the deadline and the
+ * per-stage timeout. When the budget or attempt cap runs out the
+ * request DEGRADES: it is served at the scan depth already decoded,
+ * bit-identical to a clean decode of that prefix. Unrecoverable
+ * faults (NotFound, mid-scan Decode damage, or no decodable scan at
+ * all) end Failed. Worker threads contain every request-scoped
  * throw: one poisoned request never stalls its batch or kills a
  * worker, and every admitted request reaches one of Done / Degraded /
  * Shed / Expired / Failed / Rejected / Cancelled.
  *
- * Overload control (OverloadConfig; full narrative in
- * docs/robustness.md): PR 6's per-request defenses compose with three
- * fleet-level ones. (1) A BreakerObjectStore (storage/breaker.hh)
- * wrapped around the store fail-fasts fetches while the tier is sick;
- * the retry loop honors Error::failFast() by skipping its backoff and
- * degrading immediately. (2) Hedged reads: when a stage-1/4 fetch
- * exceeds a quantile-tracked delay, ONE backup fetch is issued on a
- * small dedicated pool and the first success wins; the loser is
- * discarded but its bytes are still charged (honest metering), and a
- * per-request cap plus a global in-flight budget prevent hedge
- * storms. Hedge timing is real wall-clock time by design — it races
- * real threads — so hedge tests inject real (small) latencies.
- * (3) A brownout controller watches a sliding window of terminal
- * outcomes (and deadline headroom on successes) and shifts a quality
- * tier hysteretically: tier 1 caps preview/scan depth, tier 2 also
- * sheds resolution to a floor, tier 3 also REJECTS new submissions
- * with the typed Rejected terminal.
+ * Overload control (OverloadConfig; narrative in docs/robustness.md)
+ * adds three fleet-level defenses. (1) A BreakerObjectStore
+ * (storage/breaker.hh) fail-fasts fetches while the storage tier is
+ * sick; the retry loop honors Error::failFast() by skipping its
+ * backoff and degrading immediately. (2) Hedged reads: a stage-1/4
+ * fetch slower than a quantile-tracked delay races ONE backup on a
+ * small pool; the first success wins, the loser's bytes are still
+ * charged, and per-request and global caps prevent hedge storms.
+ * Hedge timing is wall-clock by design (it races real threads).
+ * (3) A quality-tier ladder (core/quality_ladder.hh) picks each
+ * request's tier once, at formation, from decode-queue depth and the
+ * windowed terminal outcomes: it caps preview/scan depth and the
+ * decided resolution (fixed-resolution mode too), stamps the backbone
+ * int8, and at a non-admitting tier REJECTS submissions with the
+ * typed Rejected terminal. It is the only shedding controller a
+ * request meets: the inner backbone ladder must be empty.
  *
- * Lifecycle supervision (the rest of the robustness story; narrative
- * in docs/robustness.md): every request carries a cooperative
- * CancelToken (util/cancel.hh) armed with its absolute deadline and
- * fired by cancel() — the store checks it between delivery chunks,
- * the decoder between scans, the engine between stages — so client
- * disconnects map to the Cancelled terminal and mid-pipeline deadline
- * expiry maps to Expired without burning further I/O or CPU;
- * cancellation only ever lands on clean scan boundaries, so partial
- * results stay bit-identical to clean decodes of the same prefix.
- * When stage_timeout_s > 0 every storage read runs on the shared I/O
- * pool under a hard wall-clock bound: on timeout the worker ABANDONS
- * the read (counted in reads_abandoned; a late completion is
- * discarded but its bytes are still metered; on the storage path the
- * give-up surfaces as a breaker-counted Transient) and falls into the
- * retry/degrade ladder instead of blocking. A Watchdog
- * (util/watchdog.hh) supervises the decode workers' heartbeats and
- * fail-fasts any request holding a worker silent past the liveness
- * budget. Terminal conservation extends to
+ * Lifecycle supervision (narrative in docs/robustness.md): every
+ * request carries a cooperative CancelToken (util/cancel.hh) armed
+ * with its absolute deadline and fired by cancel(). The store polls
+ * it between delivery chunks, the decoder between scans and the
+ * engine between stages, so a client hangup ends Cancelled and
+ * mid-pipeline expiry ends Expired — always on a clean scan boundary,
+ * bit-identical to a clean decode of that prefix. With
+ * stage_timeout_s > 0 every storage read runs on the I/O pool under a
+ * wall-clock bound: on timeout the worker ABANDONS the read (counted
+ * in reads_abandoned; late bytes are still metered; the give-up is a
+ * breaker-counted Transient) and falls into retry/degrade. A Watchdog
+ * (util/watchdog.hh) fail-fasts any request holding a decode worker
+ * silent past the liveness budget. Terminal conservation:
  *   admitted == done + degraded + failed + expired + shed + rejected
  *               + cancelled.
  */
@@ -116,6 +105,7 @@
 #include <vector>
 
 #include "core/engine.hh"
+#include "core/quality_ladder.hh"
 #include "core/scale_model.hh"
 #include "storage/decode_cache.hh"
 #include "storage/object_store.hh"
@@ -140,7 +130,7 @@ enum class StagedState : int
     Expired,    //!< deadline passed before a stage could serve it
     Degraded,   //!< served at a REDUCED scan depth after fetch faults
     Failed,     //!< unrecoverable fault; output fields are NOT valid
-    Rejected,   //!< refused by the brownout controller (tier 3)
+    Rejected,   //!< refused by a non-admitting ladder tier
     Cancelled,  //!< client cancel()ed; output fields are NOT valid
 };
 
@@ -257,63 +247,6 @@ struct HedgeConfig
 };
 
 /**
- * Brownout (adaptive quality-shedding) policy.
- *
- * A sliding window of terminal outcomes drives a quality tier:
- * an outcome is "bad" when the request Degraded / Failed / Expired /
- * was Shed, or when it was Done with less than headroom_frac of its
- * deadline left. When the windowed bad fraction reaches
- * high_pressure (with at least min_samples of evidence and
- * min_dwell_s since the last shift) the tier steps UP; at or below
- * low_pressure it steps DOWN — hysteresis, and the window resets on
- * every shift so each tier is judged on its own evidence. A tier > 0
- * whose window has gone empty for a full window (e.g. tier 3
- * rejecting everything, so no samples arrive) also steps down: the
- * controller must be able to find its way back without traffic.
- *
- * Tiers: 0 = full quality; 1 = preview/scan depth caps (preview_cap,
- * scan_cap); 2 = tier 1 + resolution shed to resolution_cap (0 means
- * the grid's lowest); 3 = tier 2 + admission rejection (typed
- * Rejected terminal). max_tier limits the climb.
- */
-struct BrownoutConfig
-{
-    bool enable = false;
-    double window_s = 0.5;     //!< outcome-window length
-    int min_samples = 8;       //!< evidence needed before a shift
-    double high_pressure = 0.5; //!< bad fraction that raises the tier
-    double low_pressure = 0.1; //!< bad fraction that lowers it
-    double min_dwell_s = 0.25; //!< min time between shifts
-
-    /**
-     * Asymmetric hysteresis for stepping DOWN: shedding must engage
-     * on little evidence (min_samples, min_dwell_s), but recovering
-     * on the same small sample is trigger-happy — right after a
-     * shift the window is empty, and a handful of lucky outcomes
-     * would flap the tier straight back. 0 inherits the symmetric
-     * knobs; set higher to make recovery patient.
-     */
-    int recovery_samples = 0;     //!< window evidence to step down
-    double recovery_dwell_s = 0;  //!< min time at a tier before down
-    double headroom_frac = 0.2; //!< Done is "bad" under this headroom
-    int preview_cap = 1;       //!< tier >= 1: max preview scans
-    int scan_cap = 2;          //!< tier >= 1: max total scans
-    int resolution_cap = 0;    //!< tier >= 2: res floor (0 = lowest)
-    int max_tier = 3;          //!< highest tier the controller may use
-
-    /**
-     * Tier at or above which the backbone stage serves int8 (0 =
-     * never). Precision is shed BEFORE resolution: set int8_tier
-     * below the resolution-shedding tier so overload first drops to
-     * the quantized backbone (cheap, accuracy-close) and only then
-     * shrinks the input. Requires the inner engine to be configured
-     * with a quantized graph (EngineConfig::quant_graph); without one
-     * the flag degrades to fp32 harmlessly.
-     */
-    int int8_tier = 0;
-};
-
-/**
  * Worker-liveness supervision policy (the engine-side face of
  * util/watchdog.hh). Decode workers heartbeat at stage boundaries and
  * per retry attempt; a busy worker silent past liveness_budget_s is
@@ -336,11 +269,11 @@ struct SupervisionConfig
 struct OverloadConfig
 {
     HedgeConfig hedge;
-    BrownoutConfig brownout;
+    QualityWindowConfig quality_window; //!< outcome signal of the ladder
     SupervisionConfig watchdog;
 
     /**
-     * Time source for deadlines, retry backoff, and brownout dwell —
+     * Time source for deadlines, retry backoff, and ladder dwell —
      * nullptr means Clock::steady(). Tests inject a ManualClock to
      * replay controller transitions deterministically. Hedge timing
      * deliberately stays wall-clock (see HedgeConfig).
@@ -376,14 +309,8 @@ struct StagedEngineConfig
      */
     std::function<int(uint64_t id, int resolution_index)> scan_depth;
 
-    /**
-     * Queue-depth -> resolution cap applied to the scale model's
-     * choice at decision time (same machinery as makeShedPolicy):
-     * return 0 to keep the choice, else the decision is clamped to
-     * the largest grid resolution <= the returned cap. Sees the
-     * decode-stage depth (waiting + in flight).
-     */
-    EngineResolutionPolicy shed_cap;
+    /** Load shedding (empty = off); see overload.quality_window. */
+    QualityLadder ladder;
 
     /**
      * Optional hot-object decode cache (storage/decode_cache.hh);
@@ -400,10 +327,10 @@ struct StagedEngineConfig
     /** Fetch retry / degradation policy for storage faults. */
     StagedRetryConfig retry;
 
-    /** Overload control: hedged reads, brownout, injectable clock. */
+    /** Overload control: hedged reads, ladder window, clock. */
     OverloadConfig overload;
 
-    /** Inner backbone-stage engine configuration. */
+    /** Inner backbone-stage engine configuration (empty ladder). */
     EngineConfig backbone;
 };
 
@@ -429,8 +356,7 @@ struct StagedStats
     uint64_t done = 0;            //!< terminal Done
     uint64_t shed_admission = 0;  //!< rejected at either admission
     uint64_t expired = 0;         //!< dropped past their deadline
-    uint64_t rejected = 0;        //!< refused by brownout tier 3
-    uint64_t shed_cap_applied = 0; //!< decisions lowered by shed_cap
+    uint64_t rejected = 0;        //!< refused by a non-admitting tier
     uint64_t scans_read = 0;      //!< total scans fetched
     uint64_t bytes_read = 0;      //!< total bytes fetched
     uint64_t failed = 0;          //!< unrecoverable per-request faults
@@ -440,11 +366,8 @@ struct StagedStats
     uint64_t retry_giveups = 0;   //!< retries abandoned (budget/cap)
     uint64_t hedges_issued = 0;   //!< backup fetches launched
     uint64_t hedge_wins = 0;      //!< backups adopted over the primary
-    int brownout_tier = 0;        //!< current quality tier
-    uint64_t tier_drops = 0;      //!< tier increments (quality down)
-    uint64_t tier_recoveries = 0; //!< tier decrements (quality back)
-    uint64_t brownout_capped = 0; //!< decisions lowered by the tier
-    uint64_t brownout_int8 = 0;   //!< requests routed to the int8 tier
+    uint64_t tier_capped = 0;     //!< decisions lowered by a tier cap
+    uint64_t tier_int8 = 0;       //!< requests routed to int8 by a tier
     uint64_t cancelled = 0;       //!< terminal Cancelled (client)
     uint64_t reads_abandoned = 0; //!< timed fetches given up in flight
     uint64_t watchdog_flags = 0;  //!< liveness flags raised on workers
@@ -460,6 +383,7 @@ struct StagedStats
     uint64_t cache_bytes_saved = 0; //!< store bytes not fetched
 
     std::vector<uint64_t> resolution_hist; //!< per resolutions() index
+    QualityStats ladder;          //!< ladder window tier + shifts
     DecodeCacheStats cache;       //!< cache-internal counter snapshot
     EngineStats backbone;         //!< inner engine snapshot
 };
@@ -553,11 +477,9 @@ class StagedServingEngine
     /** Watchdog flag callback: dump diagnostics + fail-fast. */
     void onWatchdogFlag(const WatchdogReport &report);
     void finalize(StagedRequest &req);
-    /** Bump the terminal counter + feed the brownout window (mu_ held). */
+    /** Bump the terminal counter + feed the ladder window (mu_ held). */
     void accountTerminalLocked(const StagedRequest &req,
                                StagedState terminal);
-    /** Run the tier up/down logic against the window (mu_ held). */
-    void brownoutEvaluateLocked(double now_s);
     double now() const;
 
     ObjectStore *store_;
@@ -566,7 +488,7 @@ class StagedServingEngine
     StagedEngineConfig cfg_;
     std::unique_ptr<ServingEngine> inner_; //!< null in decision-only
 
-    Clock *clock_;       //!< deadlines, backoff, brownout dwell
+    Clock *clock_;       //!< deadlines, backoff, ladder dwell
     double epoch_s_ = 0; //!< clock_->now() at construction
 
     mutable std::mutex mu_;
@@ -599,16 +521,13 @@ class StagedServingEngine
     mutable std::mutex wd_mu_;
     std::vector<StagedRequest *> worker_current_;
 
-    // Brownout: tier is written under mu_ but read lock-free on the
-    // decode path; the outcome window and dwell clock live under mu_.
-    std::atomic<int> brownout_tier_{0};
-    WindowedOutcomes brown_window_;
-    double last_shift_s_ = 0;
+    // Load shedding: the ladder's controller (internally locked).
+    QualityController ladder_;
 
     // Counters: ONE StagedStats guarded by mu_, mutated field-wise by
     // the workers and copied wholesale by stats() — a snapshot is a
     // single critical section, never a field-at-a-time stitch. The
-    // live-state fields (decode_queue_depth, brownout_tier, cache,
+    // live-state fields (decode_queue_depth, the tier fields, cache,
     // backbone) are filled in at snapshot time, not maintained here.
     StagedStats stats_;
 

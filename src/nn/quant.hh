@@ -197,7 +197,7 @@ int quantizeConvs(Graph &graph, const QuantCalibration *cal = nullptr);
  * batchnorms, fuse relus, fold scale/shift — so the fused epilogues
  * carry into the int8 layers) followed by quantizeConvs. Idempotent;
  * each pass bumps plan versions at most once. Returns the number of
- * convolutions rewritten. Build the engine's int8 brownout tier by
+ * convolutions rewritten. Build the engine's int8 serving tier by
  * running this on a copy of the fp32 graph, with @p cal from
  * calibrateActivations when static (batch-invariant *and*
  * input-independent) activation scales are wanted.

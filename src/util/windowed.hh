@@ -3,7 +3,7 @@
  * Small sliding-window statistics for overload control.
  *
  * Three fixed-footprint accumulators used by the circuit breaker and
- * the brownout controller:
+ * the quality-ladder controller:
  *
  *  - WindowedOutcomes: good/bad event counts over a trailing time
  *    window, implemented as a ring of time buckets so old evidence

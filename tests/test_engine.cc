@@ -385,7 +385,7 @@ TEST(ServingEngine, ExpiredRequestsAreDroppedNotServed)
     EXPECT_EQ(engine.stats().expired, 1u);
 }
 
-TEST(ServingEngine, ShedPolicyDropsResolutionUnderLoad)
+TEST(ServingEngine, ResolutionShedLadderDropsResolutionUnderLoad)
 {
     auto g = buildResNet18(8, 5);
     const int res = 64;
@@ -393,7 +393,7 @@ TEST(ServingEngine, ShedPolicyDropsResolutionUnderLoad)
 
     EngineConfig cfg = smallEngineConfig(1, 2);
     cfg.max_delay_us = 0;
-    cfg.resolution_policy = makeShedPolicy(0, shed_res, 2);
+    cfg.ladder = resolutionShedLadder(/*shed_depth=*/2, shed_res);
     cfg.warm_shapes = {{1, 3, res, res}, {2, 3, res, res},
                        {1, 3, shed_res, shed_res},
                        {2, 3, shed_res, shed_res}};
@@ -417,11 +417,41 @@ TEST(ServingEngine, ShedPolicyDropsResolutionUnderLoad)
     }
     // A 12-deep burst into an idle single worker must trip the
     // depth-2 shed rule for the tail of the queue.
-    EXPECT_GT(shed_served, 0) << "queue depth never tripped the policy";
+    EXPECT_GT(shed_served, 0) << "queue depth never tripped the ladder";
     // Classifier output shape is resolution-independent, so shed
     // requests still carry a full-sized result.
     for (auto &r : reqs)
         EXPECT_EQ(r.output.numel(), 8);
+}
+
+TEST(ServingEngine, ResolutionCapNeverUpsamples)
+{
+    // A cap above an input's native size is not a target: the batch
+    // serves at its native resolution, bit-identical to direct
+    // execution, instead of being bilinearly upsampled (which would
+    // add compute exactly when the engine is shedding load).
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    const int res = 32;
+    const int cap = 64;
+
+    EngineConfig cfg = smallEngineConfig(1, 2);
+    cfg.ladder = resolutionShedLadder(/*shed_depth=*/0, cap);
+    ServingEngine engine(*g, cfg);
+
+    InferenceRequest r;
+    r.input = randomInput(res, 71);
+    Tensor expect;
+    {
+        ThreadsEnv env(1);
+        expect = g->run(r.input);
+    }
+    ASSERT_TRUE(engine.submit(r));
+    engine.wait(r);
+    ASSERT_EQ(r.stateNow(), RequestState::Done);
+    EXPECT_EQ(r.resolution, res) << "a cap above native upsampled";
+    EXPECT_TRUE(
+        bitIdentical(r.output.data(), expect.data(), expect.numel()));
 }
 
 TEST(ServingEngine, CleanShutdownWithInFlightRequests)
@@ -688,22 +718,6 @@ TEST(QuantizedPlan, BatchBitIdenticalPerItemAcrossLevelsAndThreads)
     }
 }
 
-TEST(TieredShedPolicy, ShedsPrecisionBeforeResolution)
-{
-    const EngineTierPolicy policy =
-        makeTieredShedPolicy(224, /*int8_depth=*/4, /*shed_depth=*/8,
-                             /*shed_resolution=*/112);
-    const ServeTier calm = policy(2);
-    EXPECT_FALSE(calm.int8);
-    EXPECT_EQ(calm.resolution, 224);
-    const ServeTier busy = policy(6); // precision sheds first
-    EXPECT_TRUE(busy.int8);
-    EXPECT_EQ(busy.resolution, 224);
-    const ServeTier slammed = policy(12); // then resolution
-    EXPECT_TRUE(slammed.int8);
-    EXPECT_EQ(slammed.resolution, 112);
-}
-
 TEST(ServingEngineInt8, WantInt8ServesOnQuantizedGraphBitIdentical)
 {
     auto g = buildResNet18(8, 5);
@@ -747,7 +761,7 @@ TEST(ServingEngineInt8, WantInt8ServesOnQuantizedGraphBitIdentical)
     EXPECT_GE(st.batches_int8, 1u);
 }
 
-TEST(ServingEngineInt8, TierPolicyShedsToInt8UnderDepth)
+TEST(ServingEngineInt8, LadderShedsToInt8UnderDepth)
 {
     auto g = buildResNet18(8, 5);
     optimizeForInference(*g);
@@ -757,8 +771,10 @@ TEST(ServingEngineInt8, TierPolicyShedsToInt8UnderDepth)
     EngineConfig cfg = smallEngineConfig(1, 4);
     cfg.quant_graph = q.get();
     // int8_depth = 0: any queue at all sheds precision. Requests do
-    // NOT ask for int8 — the overload policy imposes it.
-    cfg.tier_policy = makeTieredShedPolicy(0, 0, 1000, 0);
+    // NOT ask for int8 — the ladder imposes it.
+    cfg.ladder = precisionFirstLadder(/*int8_depth=*/0,
+                                      /*shed_depth=*/1000,
+                                      /*shed_resolution=*/0);
     ServingEngine engine(*g, cfg);
 
     Tensor expect;
@@ -775,7 +791,7 @@ TEST(ServingEngineInt8, TierPolicyShedsToInt8UnderDepth)
         engine.wait(r);
         ASSERT_EQ(r.stateNow(), RequestState::Done);
         EXPECT_TRUE(r.served_int8)
-            << "tier policy with int8_depth=0 must shed precision";
+            << "ladder with int8_depth=0 must shed precision";
         EXPECT_TRUE(bitIdentical(r.output.data(), expect.data(),
                                  expect.numel()));
     }

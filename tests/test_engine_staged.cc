@@ -2,8 +2,8 @@
  * @file
  * Tests for the StagedServingEngine: a request entering as encoded
  * progressive bytes must flow through ranged preview read ->
- * resumable partial decode -> scale-model decision (with queue-depth
- * shed capping) -> incremental read -> batched backbone, produce
+ * resumable partial decode -> scale-model decision (capped by the
+ * quality-tier ladder) -> incremental read -> batched backbone, produce
  * exactly the inference result of an inline (engine-free) pipeline,
  * meter exactly the bytes its decisions demand, and keep the
  * backbone stage's steady state pack-free.
@@ -213,7 +213,7 @@ TEST_F(StagedEngineTest, DecisionOnlyModeMetersExactBytes)
     EXPECT_EQ(hist_total, st.decoded);
 }
 
-TEST_F(StagedEngineTest, ShedCapLowersExactlyTheHighDecisions)
+TEST_F(StagedEngineTest, LadderCapLowersExactlyTheHighDecisions)
 {
     // First pass, uncapped: record how many decisions land on the
     // high resolution. Decisions are deterministic per object, so a
@@ -235,9 +235,9 @@ TEST_F(StagedEngineTest, ShedCapLowersExactlyTheHighDecisions)
     }
 
     // Cap at the low resolution whenever anything is queued (depth is
-    // always >= 1 at decision time) — makeShedPolicy's rule with
+    // always >= 1 at decision time) — the Section VIII-a ladder with
     // shed_depth 0.
-    cfg.shed_cap = makeShedPolicy(0, kGridLo, 0);
+    cfg.ladder = resolutionShedLadder(/*shed_depth=*/0, kGridLo);
     StagedServingEngine engine(store_, *scale_, nullptr, cfg);
     std::vector<StagedRequest> reqs(kObjects);
     for (int i = 0; i < kObjects; ++i) {
@@ -250,8 +250,27 @@ TEST_F(StagedEngineTest, ShedCapLowersExactlyTheHighDecisions)
         EXPECT_EQ(reqs[i].resolution, kGridLo)
             << "capped decision must land on the shed resolution";
     }
-    EXPECT_EQ(engine.stats().shed_cap_applied,
+    EXPECT_EQ(engine.stats().tier_capped,
               static_cast<uint64_t>(high));
+}
+
+TEST_F(StagedEngineTest, FixedResolutionHonorsTheLadderCap)
+{
+    // The static baseline is no exemption from shedding: a tier's
+    // resolution cap lowers the fixed resolution exactly as it lowers
+    // a scale-model decision.
+    StagedEngineConfig cfg = baseConfig();
+    cfg.fixed_resolution = kGridHi;
+    cfg.ladder = resolutionShedLadder(/*shed_depth=*/0, kGridLo);
+    StagedServingEngine engine(store_, *scale_, nullptr, cfg);
+    StagedRequest req;
+    req.id = 1;
+    ASSERT_TRUE(engine.submit(req));
+    engine.wait(req);
+    ASSERT_EQ(req.stateNow(), StagedState::Done);
+    EXPECT_EQ(req.resolution, kGridLo)
+        << "fixed-resolution mode ignored the tier's resolution cap";
+    EXPECT_EQ(engine.stats().tier_capped, 1u);
 }
 
 TEST_F(StagedEngineTest, FixedResolutionIsTheStaticBaseline)
@@ -661,6 +680,28 @@ TEST_F(StagedEngineTest, ChaosRunTerminatesEveryRequest)
 // Overload control plane: circuit breaker, hedged reads, brownout.
 // --------------------------------------------------------------------
 
+/**
+ * A brownout ladder of @p rungs tiers past full quality: tier 1 caps
+ * preview depth at 1 scan and total depth at 2, tier 2 also caps
+ * resolution at @p res_floor, tier 3 also refuses admission.
+ * Reached only through the outcome window (no tier engages by depth).
+ */
+QualityLadder
+brownoutLadder(int rungs, int res_floor)
+{
+    QualityLadder ladder(1);
+    QualityTier t;
+    t.preview_cap = 1;
+    t.scan_cap = 2;
+    ladder.push_back(t);
+    t.resolution_cap = res_floor;
+    ladder.push_back(t);
+    t.admit = false;
+    ladder.push_back(t);
+    ladder.resize(static_cast<size_t>(rungs) + 1);
+    return ladder;
+}
+
 TEST_F(StagedEngineTest, BreakerStateMachineWalksDeterministically)
 {
     // Scripted faults + a manual clock drive the full Closed -> Open
@@ -829,14 +870,12 @@ TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
         cfg.decode_workers = workers;
         cfg.retry = fastRetry();
         cfg.overload.clock = &clk;
-        cfg.overload.brownout.enable = true;
-        cfg.overload.brownout.window_s = 1.0;
-        cfg.overload.brownout.min_samples = 4;
-        cfg.overload.brownout.high_pressure = 0.5;
-        cfg.overload.brownout.low_pressure = 0.25;
-        cfg.overload.brownout.min_dwell_s = 0.5;
-        cfg.overload.brownout.preview_cap = 1;
-        cfg.overload.brownout.scan_cap = 2;
+        cfg.ladder = brownoutLadder(3, kGridLo);
+        cfg.overload.quality_window.window_s = 1.0;
+        cfg.overload.quality_window.min_samples = 4;
+        cfg.overload.quality_window.high_pressure = 0.5;
+        cfg.overload.quality_window.low_pressure = 0.25;
+        cfg.overload.quality_window.min_dwell_s = 0.5;
 
         StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
 
@@ -862,11 +901,11 @@ TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
         for (int want_tier = 1; want_tier <= 3; ++want_tier) {
             clk.advance(1.0);
             round(nullptr);
-            EXPECT_EQ(engine.stats().brownout_tier, want_tier)
+            EXPECT_EQ(engine.stats().ladder.window_tier, want_tier)
                 << "workers " << workers;
         }
         const StagedStats pressured = engine.stats();
-        EXPECT_EQ(pressured.tier_drops, 3u);
+        EXPECT_EQ(pressured.ladder.drops, 3u);
         EXPECT_GT(pressured.degraded, 0u);
 
         // Tier 3 refuses everything with the typed terminal.
@@ -883,13 +922,13 @@ TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
         // following healthy rounds walk it back to 0.
         failing.store(false);
         int recovery_rounds = 0;
-        while (engine.stats().brownout_tier > 0 &&
+        while (engine.stats().ladder.window_tier > 0 &&
                recovery_rounds < 12) {
             clk.advance(1.5);
             round(nullptr);
             ++recovery_rounds;
         }
-        EXPECT_EQ(engine.stats().brownout_tier, 0)
+        EXPECT_EQ(engine.stats().ladder.window_tier, 0)
             << "workers " << workers << ": controller never recovered";
 
         // Healthy steady state at tier 0: full quality again.
@@ -900,7 +939,7 @@ TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
             EXPECT_EQ(s, StagedState::Done);
 
         const StagedStats st = engine.stats();
-        EXPECT_GE(st.tier_recoveries, 3u);
+        EXPECT_GE(st.ladder.recoveries, 3u);
         EXPECT_EQ(st.admitted, st.done + st.degraded + st.failed +
                                    st.expired + st.shed_admission +
                                    st.rejected)
@@ -926,14 +965,12 @@ TEST_F(StagedEngineTest, BrownoutTierCapsDepthAndResolution)
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
     cfg.overload.clock = &clk;
-    cfg.overload.brownout.enable = true;
-    cfg.overload.brownout.window_s = 1.0;
-    cfg.overload.brownout.min_samples = 4;
-    cfg.overload.brownout.high_pressure = 0.5;
-    cfg.overload.brownout.min_dwell_s = 0.5;
-    cfg.overload.brownout.preview_cap = 1;
-    cfg.overload.brownout.scan_cap = 2;
-    cfg.overload.brownout.max_tier = 2; // no admission rejection
+    // Two rungs: no admission rejection.
+    cfg.ladder = brownoutLadder(2, kGridLo);
+    cfg.overload.quality_window.window_s = 1.0;
+    cfg.overload.quality_window.min_samples = 4;
+    cfg.overload.quality_window.high_pressure = 0.5;
+    cfg.overload.quality_window.min_dwell_s = 0.5;
 
     StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
     auto pressure_round = [&] {
@@ -948,7 +985,7 @@ TEST_F(StagedEngineTest, BrownoutTierCapsDepthAndResolution)
     pressure_round();
     clk.advance(1.0);
     pressure_round();
-    ASSERT_EQ(engine.stats().brownout_tier, 2);
+    ASSERT_EQ(engine.stats().ladder.window_tier, 2);
 
     // Healthy request at tier 2: preview capped to 1 scan, total
     // capped to 2, resolution shed to the grid floor.
@@ -972,14 +1009,14 @@ TEST_F(StagedEngineTest, BrownoutTierCapsDepthAndResolution)
         scale_->options().input_res, scale_->options().input_res);
     if (scale_->resolutions()[scale_->chooseResolutionIndex(
             preview1)] > kGridLo)
-        EXPECT_GT(engine.stats().brownout_capped, 0u);
-    // max_tier honored: pressure never pushed past 2.
-    EXPECT_LE(engine.stats().brownout_tier, 2);
+        EXPECT_GT(engine.stats().tier_capped, 0u);
+    // The ladder's top honored: pressure never pushed past 2.
+    EXPECT_LE(engine.stats().ladder.window_tier, 2);
 }
 
 TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
 {
-    // Precision before resolution: with int8_tier = 1 the first
+    // Precision before resolution: with an int8 first rung the first
     // brownout step routes backbone traffic to the quantized graph.
     // Scripted faults climb the tier; once the store heals, a clean
     // request must serve Done on the int8 backbone, bit-identical to
@@ -1004,15 +1041,14 @@ TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
     cfg.retry = fastRetry();
     cfg.backbone.quant_graph = q.get();
     cfg.overload.clock = &clk;
-    cfg.overload.brownout.enable = true;
-    cfg.overload.brownout.window_s = 1.0;
-    cfg.overload.brownout.min_samples = 4;
-    cfg.overload.brownout.high_pressure = 0.5;
-    cfg.overload.brownout.min_dwell_s = 0.5;
-    cfg.overload.brownout.max_tier = 1;  // precision only
-    cfg.overload.brownout.int8_tier = 1; // tier 1 -> int8 backbone
-    cfg.overload.brownout.preview_cap = 8; // depth caps out of the way
-    cfg.overload.brownout.scan_cap = 8;
+    // One rung, precision only: no depth or resolution caps.
+    QualityTier int8;
+    int8.int8 = true;
+    cfg.ladder = {QualityTier{}, int8};
+    cfg.overload.quality_window.window_s = 1.0;
+    cfg.overload.quality_window.min_samples = 4;
+    cfg.overload.quality_window.high_pressure = 0.5;
+    cfg.overload.quality_window.min_dwell_s = 0.5;
 
     StagedServingEngine engine(faulty, *scale_, g.get(), cfg);
 
@@ -1025,7 +1061,7 @@ TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
         ASSERT_TRUE(engine.submit(req));
         engine.wait(req);
     }
-    ASSERT_EQ(engine.stats().brownout_tier, 1);
+    ASSERT_EQ(engine.stats().ladder.window_tier, 1);
 
     // Healthy request at tier 1: full scan depth and resolution (only
     // precision shed), served on the quantized backbone.
@@ -1037,7 +1073,7 @@ TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
     ASSERT_EQ(req.stateNow(), StagedState::Done);
     EXPECT_TRUE(req.infer.want_int8);
     EXPECT_TRUE(req.infer.served_int8)
-        << "tier >= int8_tier must serve on the quantized graph";
+        << "an int8 tier must serve on the quantized graph";
     const Tensor expect = q->run(req.infer.input);
     ASSERT_EQ(req.infer.output.numel(), expect.numel());
     EXPECT_EQ(std::memcmp(req.infer.output.data(), expect.data(),
@@ -1047,7 +1083,7 @@ TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
 
     engine.drain();
     const StagedStats st = engine.stats();
-    EXPECT_GE(st.brownout_int8, 1u);
+    EXPECT_GE(st.tier_int8, 1u);
     EXPECT_GE(st.backbone.served_int8, 1u);
     EXPECT_EQ(st.admitted, st.done + st.degraded + st.failed +
                                st.expired + st.shed_admission +
