@@ -1,17 +1,20 @@
 /**
  * @file
  * Serving simulation (paper Section VIII-a): a request stream served
- * by the dynamic pipeline, with a mid-run load burst handled by
+ * by the staged engine, with a mid-run load burst handled by
  * shrinking the crop — the scale model automatically compensates by
  * lowering chosen resolutions, cutting average compute cost without a
- * model swap.
+ * model swap. The crop is an engine setting, so one decision-only
+ * engine serves each crop.
  *
  * Build & run:  ./build/examples/dynamic_serving
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "core/pipeline.hh"
+#include "core/staged_engine.hh"
 
 using namespace tamres;
 
@@ -38,12 +41,23 @@ main()
     scale.train(dataset, 0, n_train, BackboneArch::ResNet18,
                 {0.25, 0.56, 0.75, 1.0}, 192);
 
-    DynamicPipeline::Config cfg;
-    cfg.resolutions = grid;
-    cfg.policy.resolutions = grid;
-    cfg.policy.thresholds.assign(grid.size(), 0.97);
-    cfg.crop_area = 0.75;
-    DynamicPipeline pipeline(store, scale, cfg);
+    // Read depth per object and resolution, measured at ingest: the
+    // scans whose decode reaches SSIM 0.97 against the full decode.
+    const QualityTable table(dataset, n_train, n_train + n_requests,
+                             grid);
+    auto engineFor = [&](double crop_area) {
+        StagedEngineConfig cfg;
+        cfg.crop_area = crop_area;
+        cfg.scan_depth = [&](uint64_t id, int r_idx) {
+            return table.scansForThreshold(
+                static_cast<int>(id - dataset.record(n_train).id), r_idx,
+                0.97);
+        };
+        return std::make_unique<StagedServingEngine>(store, scale,
+                                                     nullptr, cfg);
+    };
+    const auto normal = engineFor(0.75);
+    const auto shed = engineFor(0.30);
 
     const BandwidthModel bw;
     double gflops_normal = 0.0, gflops_burst = 0.0;
@@ -55,25 +69,27 @@ main()
         // the crop (objects appear larger; the scale model then picks
         // cheaper resolutions — paper Section VIII-a).
         const bool burst = i >= 10 && i < 20;
-        pipeline.setCropArea(burst ? 0.30 : 0.75);
+        StagedServingEngine &engine = burst ? *shed : *normal;
 
-        const uint64_t id = dataset.record(n_train + i).id;
-        const auto d = pipeline.process(id);
+        StagedRequest req;
+        req.id = dataset.record(n_train + i).id;
+        engine.submit(req);
+        engine.wait(req);
         const double gf =
-            backboneGflops(BackboneArch::ResNet18, d.resolution) +
+            backboneGflops(BackboneArch::ResNet18, req.resolution) +
             scaleModelGflops();
         std::printf("req %2d %s crop=%.2f -> res %3d, %5zu bytes, "
                     "%.2f GFLOPs\n",
                     i, burst ? "[burst]" : "        ",
-                    burst ? 0.30 : 0.75, d.resolution, d.bytes_read,
+                    burst ? 0.30 : 0.75, req.resolution, req.bytes_read,
                     gf);
         if (burst) {
             gflops_burst += gf;
-            bytes_burst += d.bytes_read;
+            bytes_burst += req.bytes_read;
             ++count_burst;
         } else {
             gflops_normal += gf;
-            bytes_normal += d.bytes_read;
+            bytes_normal += req.bytes_read;
             ++count_normal;
         }
     }

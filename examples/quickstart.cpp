@@ -6,8 +6,8 @@
  *   2. progressively encode it into a byte-metered object store,
  *   3. calibrate per-resolution SSIM read thresholds (paper Sec. V),
  *   4. train the scale model (paper Sec. IV, Figure-5 sharding),
- *   5. serve images through the DynamicPipeline and report choices,
- *      bytes moved, and savings.
+ *   5. serve images through a decision-only StagedServingEngine and
+ *      report choices, bytes moved, and savings.
  *
  * Build & run:  ./build/examples/quickstart
  */
@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "core/pipeline.hh"
+#include "core/staged_engine.hh"
 
 using namespace tamres;
 
@@ -61,26 +62,34 @@ main()
                                     {0.25, 0.56, 0.75, 1.0}, 192);
     std::printf("scale model trained (final BCE %.3f)\n\n", loss);
 
-    // 5. Serve.
-    DynamicPipeline::Config cfg;
-    cfg.resolutions = grid;
-    cfg.policy = policy;
+    // 5. Serve. Each object's read depth per resolution is measured
+    //    once at ingest, while the original pixels are at hand: the
+    //    scans that reach the calibrated threshold.
+    const QualityTable served(dataset, n_cal, n_cal + n_serve, grid);
+    StagedEngineConfig cfg;
     cfg.crop_area = 0.75;
-    DynamicPipeline pipeline(store, scale, cfg);
+    cfg.scan_depth = [&](uint64_t id, int r_idx) {
+        return served.scansForThreshold(
+            static_cast<int>(id - dataset.record(n_cal).id), r_idx,
+            policy.thresholdFor(r_idx));
+    };
+    StagedServingEngine engine(store, scale, nullptr, cfg);
 
     store.resetStats();
     std::printf("%-6s %-10s %-6s %-10s\n", "image", "resolution",
                 "scans", "bytes");
     for (int i = n_cal; i < n_cal + n_serve; ++i) {
-        const uint64_t id = dataset.record(i).id;
-        const auto d = pipeline.process(id);
-        std::printf("%-6d %-10d %-6d %-10zu\n", i, d.resolution,
-                    d.scans_read, d.bytes_read);
+        StagedRequest req;
+        req.id = dataset.record(i).id;
+        engine.submit(req);
+        engine.wait(req);
+        std::printf("%-6d %-10d %-6d %-10zu\n", i, req.resolution,
+                    req.scans_read, req.bytes_read);
     }
     const ReadStats &stats = store.stats();
-    std::printf("\nserved %llu requests, read %.1f KiB of %.1f KiB "
-                "(%.1f%% saved)\n",
-                static_cast<unsigned long long>(stats.requests),
+    std::printf("\nserved %d images in %llu ranged reads, read %.1f "
+                "KiB of %.1f KiB (%.1f%% saved)\n",
+                n_serve, static_cast<unsigned long long>(stats.requests),
                 stats.bytes_read / 1024.0, stats.bytes_full / 1024.0,
                 stats.savings() * 100);
     return 0;

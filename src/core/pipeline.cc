@@ -5,7 +5,6 @@
 #include <map>
 
 #include "core/staged_engine.hh"
-#include "image/metrics.hh"
 
 namespace tamres {
 
@@ -392,72 +391,6 @@ calibratePreviewScans(const QualityTable &table,
         }
     }
     return policy;
-}
-
-// ---------------------------------------------------------------------
-// DynamicPipeline
-// ---------------------------------------------------------------------
-
-DynamicPipeline::DynamicPipeline(ObjectStore &store,
-                                 const ScaleModel &scale, Config config)
-    : store_(store), scale_(scale), config_(std::move(config))
-{
-    tamres_assert(!config_.resolutions.empty(),
-                  "pipeline needs candidate resolutions");
-    tamres_assert(config_.resolutions.size() ==
-                      config_.policy.thresholds.size(),
-                  "policy must cover every resolution");
-}
-
-void
-DynamicPipeline::setCropArea(double crop_area)
-{
-    tamres_assert(crop_area > 0.0 && crop_area <= 1.0,
-                  "crop area out of range");
-    config_.crop_area = crop_area;
-}
-
-DynamicPipeline::Decision
-DynamicPipeline::process(uint64_t id)
-{
-    const EncodedImage &enc = store_.peek(id);
-    const int preview_scans =
-        std::min(config_.preview_scans, enc.numScans());
-
-    // Fetch + decode the preview, run the scale model.
-    Image preview_full = store_.readScans(id, preview_scans);
-    const Image preview = resize(
-        centerCropFraction(preview_full, config_.crop_area),
-        scale_.options().input_res, scale_.options().input_res);
-    const int r_idx = scale_.chooseResolutionIndex(preview);
-    const int resolution = config_.resolutions[r_idx];
-
-    // Incrementally fetch scans until quality converges at the chosen
-    // resolution: stop when one more scan no longer moves the decoded
-    // image past the calibrated SSIM threshold (a deployable,
-    // reference-free variant of the calibration rule — the offline
-    // tables use the true reference instead).
-    const double threshold = config_.policy.thresholdFor(r_idx);
-    int scans = preview_scans;
-    Image current = preview_full;
-    while (scans < enc.numScans()) {
-        Image next =
-            store_.readAdditionalScans(id, scans, scans + 1);
-        ++scans;
-        const Image a = resize(current, resolution, resolution);
-        const Image b = resize(next, resolution, resolution);
-        current = std::move(next);
-        if (ssim(a, b) >= threshold)
-            break; // the refinement no longer changes the input
-    }
-
-    Decision d;
-    d.resolution = resolution;
-    d.scans_read = scans;
-    d.bytes_read = enc.bytesForScans(scans);
-    d.input = resize(centerCropFraction(current, config_.crop_area),
-                     resolution, resolution);
-    return d;
 }
 
 } // namespace tamres

@@ -7,7 +7,8 @@
  * progressively; the first scans are read and decoded into a 112-class
  * preview; the scale model picks the inference resolution; additional
  * scans are read only if the calibrated policy for that resolution
- * needs them; the backbone then runs at the chosen resolution.
+ * needs them; the backbone then runs at the chosen resolution. The
+ * per-request flow is StagedServingEngine (core/staged_engine.hh).
  */
 
 #ifndef TAMRES_CORE_PIPELINE_HH
@@ -161,46 +162,6 @@ PreviewPolicy calibratePreviewScans(const QualityTable &table,
                                     const ScaleModel &scale,
                                     double crop_area,
                                     double min_agreement = 0.95);
-
-/**
- * The deployable object: wires an ObjectStore, a calibrated policy and
- * a trained scale model into a per-request flow with real byte
- * accounting (used by the examples and the serving simulation).
- */
-class DynamicPipeline
-{
-  public:
-    struct Config
-    {
-        std::vector<int> resolutions;
-        StoragePolicy policy;     //!< calibrated thresholds
-        double crop_area = 0.75;
-        int preview_scans = 2;    //!< scans fetched for the preview
-    };
-
-    /** One processed request. */
-    struct Decision
-    {
-        int resolution = 0;   //!< chosen inference resolution
-        int scans_read = 0;   //!< total scans fetched
-        size_t bytes_read = 0; //!< total bytes fetched
-        Image input;          //!< cropped+resized backbone input
-    };
-
-    DynamicPipeline(ObjectStore &store, const ScaleModel &scale,
-                    Config config);
-
-    /** Process one stored image end to end. */
-    Decision process(uint64_t id);
-
-    /** Change the crop (the Section VIII load-shedding knob). */
-    void setCropArea(double crop_area);
-
-  private:
-    ObjectStore &store_;
-    const ScaleModel &scale_;
-    Config config_;
-};
 
 } // namespace tamres
 

@@ -1,99 +1,21 @@
 #include "core/staged_engine.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstring>
-#include <limits>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 
 #include "util/error.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace tamres {
 
 namespace {
 
-/** splitmix64 finalizer for deterministic backoff jitter. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** This thread's watchdog slot (-1 on non-decode-worker threads). */
 thread_local int tls_wd_slot = -1;
 
 } // namespace
-
-/**
- * Tiny dedicated executor for detached storage I/O — hedged fetches
- * and timed (abandonable) fetches. Deliberately NOT the fork-join
- * ThreadPool: these tasks are independent fire-and-forget I/O calls
- * whose waiter blocks on a condition variable, which would deadlock a
- * fork-join pool. The destructor runs every task already enqueued
- * before joining, so a fetch waiter can never hang on a dropped task.
- */
-class StagedServingEngine::IoPool
-{
-  public:
-    explicit IoPool(int threads)
-    {
-        workers_.reserve(static_cast<size_t>(threads));
-        for (int i = 0; i < threads; ++i)
-            workers_.emplace_back([this] { loop(); });
-    }
-
-    ~IoPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stopping_ = true;
-        }
-        cv_.notify_all();
-        for (auto &t : workers_)
-            t.join();
-    }
-
-    void
-    enqueue(std::function<void()> fn)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            tasks_.push_back(std::move(fn));
-        }
-        cv_.notify_one();
-    }
-
-  private:
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            cv_.wait(lock,
-                     [&] { return stopping_ || !tasks_.empty(); });
-            if (tasks_.empty())
-                return; // stopping and fully drained
-            std::function<void()> fn = std::move(tasks_.front());
-            tasks_.pop_front();
-            lock.unlock();
-            fn();
-            lock.lock();
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> tasks_;
-    bool stopping_ = false;
-    std::vector<std::thread> workers_;
-};
 
 StagedServingEngine::StagedServingEngine(ObjectStore &store,
                                          const ScaleModel &scale,
@@ -104,7 +26,8 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
       clock_(cfg_.overload.clock ? cfg_.overload.clock
                                  : &Clock::steady()),
       epoch_s_(clock_->now()),
-      hedge_lat_(std::max(1, cfg_.overload.hedge.latency_window)),
+      fetcher_(store, cfg_.retry, cfg_.overload.hedge, *clock_,
+               cfg_.decode_workers),
       ladder_(cfg_.ladder, cfg_.overload.quality_window, *clock_)
 {
     tamres_assert(cfg_.decode_workers >= 1,
@@ -122,16 +45,6 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
     if (backbone_)
         inner_ = std::make_unique<ServingEngine>(*backbone_,
                                                  cfg_.backbone);
-    // The I/O pool exists whenever a fetch may need to be waited on
-    // from a distance: hedged reads race a backup on it, and the
-    // timed-fetch bound (stage_timeout_s) must be able to abandon a
-    // wedged read without abandoning the thread running it.
-    if (cfg_.overload.hedge.enable || cfg_.retry.stage_timeout_s > 0) {
-        const int threads = cfg_.overload.hedge.pool_threads > 0
-                                ? cfg_.overload.hedge.pool_threads
-                                : cfg_.decode_workers + 2;
-        io_pool_ = std::make_unique<IoPool>(threads);
-    }
     if (cfg_.overload.watchdog.enable) {
         Watchdog::Config wc;
         wc.liveness_budget_s = cfg_.overload.watchdog.liveness_budget_s;
@@ -305,9 +218,8 @@ StagedServingEngine::drain()
 void
 StagedServingEngine::stop()
 {
-    // Serialized end to end so only one caller tears down the I/O
-    // pool, and only after the decode workers that feed it have
-    // joined (their in-flight fetch tasks must be allowed to settle).
+    // Serialized so only one caller joins the fetcher's I/O pool, and
+    // only after the decode workers that feed it have joined.
     std::lock_guard<std::mutex> stop_lock(stop_mu_);
     std::vector<std::thread> joinable;
     {
@@ -321,7 +233,7 @@ StagedServingEngine::stop()
         t.join();
     if (watchdog_)
         watchdog_->stop(); // workers are gone; nothing left to flag
-    io_pool_.reset(); // drains queued fetch tasks, then joins
+    fetcher_.stop(); // drains queued fetch tasks, then joins
     if (inner_)
         inner_->stop();
 }
@@ -329,16 +241,15 @@ StagedServingEngine::stop()
 StagedStats
 StagedServingEngine::stats() const
 {
-    // One critical section copies the whole counter struct, so every
-    // field in a snapshot is mutually consistent (no field-at-a-time
-    // stitching while workers mutate). The live-state fields are
-    // filled in afterwards from their own sources.
+    // One critical section copies the counters (see StagedStats);
+    // the live-state fields come from their own sources.
     StagedStats s;
     {
         std::lock_guard<std::mutex> lock(mu_);
         s = stats_;
         s.decode_queue_depth = static_cast<int>(queue_.size());
     }
+    s.bytes_read += fetcher_.detachedBytes();
     s.ladder = ladder_.stats();
     if (cfg_.cache)
         s.cache = cfg_.cache->stats();
@@ -489,368 +400,32 @@ StagedServingEngine::onWatchdogFlag(const WatchdogReport &report)
     req->cancel_.cancel(CancelReason::Watchdog);
 }
 
-/**
- * Drive the resumable decoder to @p target scans, fetching delivery
- * bytes with deadline-aware retries. Returns true when the target was
- * reached; false when the retry budget (attempt cap, backoff vs.
- * remaining deadline, or stage timeout) ran out — the decoder then
- * holds a clean prefix at scansDecoded() and the caller degrades.
- * Unrecoverable faults (NotFound, mid-scan Decode damage) propagate.
- */
-bool
-StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
-                                         EncodedImage &delivery,
-                                         ProgressiveDecoder &dec,
-                                         int target, size_t &bytes,
-                                         bool &charged_full,
-                                         double stage_start_s)
+void
+StagedServingEngine::fetchStage(StagedRequest &req, ScanRead &read,
+                                EncodedImage &delivery,
+                                ProgressiveDecoder &dec, int target)
 {
-    const StagedRetryConfig &rc = cfg_.retry;
-    int attempt = 0;
-    while (dec.scansDecoded() < target) {
-        heartbeat(req, "fetch");
-        // Cancellation gate per attempt: client/deadline firings end
-        // the request (the caller maps them to terminals); a watchdog
-        // or abandonment firing degrades it — give the clean prefix
-        // up without another attempt or a backoff sleep.
-        const CancelReason cr = req.cancel_.reason();
-        if (cr == CancelReason::Client || cr == CancelReason::Deadline)
-            req.cancel_.throwIfFired();
-        if (cr != CancelReason::None) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.retry_giveups;
-            return false;
-        }
-        if (attempt > 0) {
-            if (attempt >= rc.max_attempts) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retry_giveups;
-                return false;
-            }
-            // Exponential backoff with deterministic jitter in
-            // [1 - jitter, 1], charged against the deadline AND the
-            // stage timeout: a sleep that does not fit the remaining
-            // budget is not taken — give up and degrade instead.
-            const double nominal =
-                std::min(rc.backoff_base_s * std::ldexp(1.0, attempt - 1),
-                         rc.backoff_max_s);
-            Rng rng(mix64(mix64(rc.seed ^ req.id) ^
-                          static_cast<uint64_t>(attempt)));
-            const double backoff =
-                nominal * (1.0 - rc.jitter * rng.uniform());
-            double budget = std::numeric_limits<double>::infinity();
-            if (req.deadline_s > 0.0)
-                budget = req.submit_s_ + req.deadline_s - now();
-            if (rc.stage_timeout_s > 0.0)
-                budget = std::min(
-                    budget, stage_start_s + rc.stage_timeout_s - now());
-            if (backoff >= budget) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retry_giveups;
-                return false;
-            }
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retries;
-            }
-            ++req.retries;
-            if (backoff > 0.0)
-                clock_->sleepFor(backoff);
-        }
-        ++attempt;
-
-        // Re-establish the delivery invariant before every fetch: the
-        // buffer ends exactly at the last cleanly decoded scan
-        // boundary (a faulted attempt may have left damaged or
-        // partial trailing bytes behind).
-        const int from = dec.scansDecoded();
-        delivery.bytes.resize(delivery.scan_offsets[from]);
-        try {
-            bytes += guardedFetch(req, from, target, delivery,
-                                  !charged_full, stage_start_s);
-            if (from == 0)
-                charged_full = true;
-        } catch (const Error &e) {
-            if (e.kind() != ErrorKind::Transient)
-                throw; // NotFound and friends: not retryable here
-            if (e.failFast()) {
-                // A circuit breaker is refusing fetches: every retry
-                // would fail the same way until its cooldown expires,
-                // so backing off only burns deadline the request
-                // could spend degrading gracefully. Give up NOW.
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.fetch_faults;
-                ++stats_.retry_giveups;
-                return false;
-            }
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.fetch_faults;
-            continue;
-        }
-        try {
-            dec.advanceWithBytes(delivery.bytes.size());
-        } catch (const Error &e) {
-            // Decode means the damage was caught MID-SCAN (entropy
-            // stream violated after the checksum passed): coefficient
-            // state is unspecified, the request cannot be saved.
-            // Cancelled is the decoder's between-scan token check
-            // (client/deadline): the prefix is clean, but the request
-            // is over — propagate to the terminal mapping.
-            if (e.kind() == ErrorKind::Decode ||
-                e.kind() == ErrorKind::Cancelled)
-                throw;
-            // Corrupt (checksum or side tables, verified BEFORE the
-            // scan decoded) and Truncated leave the decoder clean at
-            // the previous boundary: trim and refetch.
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.fetch_faults;
-            continue;
-        }
-        if (dec.scansDecoded() < target) {
-            // The advance was clean but the delivery was short (an
-            // injected truncated read): refetch the missing tail.
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.fetch_faults;
-        }
-    }
-    return true;
-}
-
-/**
- * One physical ranged fetch for scans [from, target) appended to the
- * delivery buffer, guarded by the containment machinery:
- *
- *  - Hedging (when configured): the primary runs as a task on the
- *    I/O pool; if it outlives the tracked hedge delay, ONE backup
- *    fetch for the same range races it and the first success is
- *    adopted.
- *  - Timed-fetch bound (stage_timeout_s > 0): a read still in flight
- *    when the stage budget lapses is ABANDONED — the waiter fires
- *    the fetch's own cancellation token (waking a wedged read),
- *    counts reads_abandoned, and throws Transient into the retry
- *    ladder. The abandoning worker moves on immediately; the task
- *    settles on its own and is discarded.
- *  - Request-token polling: client cancels, deadline expiry and
- *    watchdog flags are observed mid-wait even when the read itself
- *    is wedged, and abandon the read the same way.
- *
- * Discarded fetches still meter: a loser or late completion charges
- * its delivered bytes to bytes_read when it settles (honest
- * metering; the store meters its own deliveries too), and a fetch
- * whose token fired stops at the next delivery chunk without ever
- * charging the bytes_full denominator. The per-fetch token lives
- * inside the shared FetchState — NOT chained to the request token —
- * so an abandoned task never touches request memory after the engine
- * has moved on. Throws the first error when every attempt fails. The
- * backup never charges the full-read denominator, so bytes_full can
- * undercount in the rare case where the primary of a from == 0 range
- * fails after its backup won — the conservative direction for
- * savings numbers.
- */
-size_t
-StagedServingEngine::guardedFetch(StagedRequest &req, int from,
-                                  int target, EncodedImage &delivery,
-                                  bool charge_full,
-                                  double stage_start_s)
-{
-    if (!io_pool_)
-        return store_->fetchScanRange(req.id, from, target,
-                                      delivery.bytes, charge_full,
-                                      SIZE_MAX, &req.cancel_);
-
-    const HedgeConfig &hc = cfg_.overload.hedge;
-    const size_t begin = delivery.bytes.size();
-
-    struct FetchState
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        int pending = 0;
-        bool winner = false;
-        bool winner_is_backup = false;
-        bool abandoned = false;
-        std::vector<uint8_t> win_buf;
-        size_t win_got = 0;
-        std::exception_ptr first_error;
-        CancelToken cancel; //!< per-fetch; waiter mirrors firings in
+    FetchReport rep;
+    auto meter = [&] {
+        req.bytes_read += rep.bytes;
+        req.retries += rep.retries;
+        req.hedges += rep.hedges;
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.bytes_read += rep.bytes;
+        stats_.retries += static_cast<uint64_t>(rep.retries);
+        stats_.fetch_faults += static_cast<uint64_t>(rep.faults);
+        stats_.retry_giveups += static_cast<uint64_t>(rep.giveups);
+        stats_.hedges_issued += static_cast<uint64_t>(rep.hedges);
+        stats_.hedge_wins += static_cast<uint64_t>(rep.hedge_wins);
+        stats_.reads_abandoned += static_cast<uint64_t>(rep.abandoned);
     };
-    auto state = std::make_shared<FetchState>();
-
-    auto launch = [&](bool is_backup) {
-        {
-            std::lock_guard<std::mutex> lock(state->mu);
-            ++state->pending;
-        }
-        io_pool_->enqueue([this, state, is_backup, begin,
-                           id = req.id, from, target,
-                           charge = is_backup ? false
-                                              : charge_full] {
-            // Scratch delivery prefix: fetchScanRange only requires
-            // dst.size() == scan_offsets[from]; the prefix content is
-            // never read, only appended after.
-            std::vector<uint8_t> buf(begin);
-            size_t got = 0;
-            std::exception_ptr err;
-            try {
-                got = store_->fetchScanRange(id, from, target, buf,
-                                             charge, SIZE_MAX,
-                                             &state->cancel);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            if (is_backup)
-                hedges_inflight_.fetch_sub(
-                    1, std::memory_order_relaxed);
-            bool lost_success = false;
-            {
-                std::lock_guard<std::mutex> lock(state->mu);
-                --state->pending;
-                if (err) {
-                    if (!state->first_error)
-                        state->first_error = err;
-                } else if (!state->winner && !state->abandoned) {
-                    state->winner = true;
-                    state->winner_is_backup = is_backup;
-                    state->win_buf = std::move(buf);
-                    state->win_got = got;
-                } else {
-                    lost_success = true;
-                }
-            }
-            if (lost_success && got > 0) {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.bytes_read += got; // a discarded fetch still moved bytes
-            }
-            state->cv.notify_all();
-        });
-    };
-
-    // Hedge delay: the tracked latency quantile, clamped, and
-    // bootstrapped at the ceiling until there is enough evidence.
-    // Wall-clock on purpose — hedging races real threads.
-    const bool may_hedge = hc.enable;
-    double delay = hc.max_delay_s;
-    if (may_hedge) {
-        std::lock_guard<std::mutex> lock(hedge_mu_);
-        if (hedge_lat_.count() >= 8)
-            delay = std::clamp(hedge_lat_.quantile(hc.delay_quantile),
-                               hc.min_delay_s, hc.max_delay_s);
+    try {
+        fetcher_.fetch(read, delivery, dec, target, rep);
+    } catch (...) {
+        meter();
+        throw;
     }
-
-    // Slice-polling cadence: short cv waits so request-token firings
-    // and the abandonment bound are observed within milliseconds even
-    // when the read never settles.
-    constexpr double kSliceS = 2e-3;
-
-    // Timed-fetch bound: the stage budget's remaining time, measured
-    // on the engine clock at launch, enforced below on the WALL clock
-    // while the read is in flight (a wedged read advances no
-    // injectable clock — same documented exception as hedge timing).
-    // Every read gets at least one slice so a fast read can win even
-    // with the budget nearly spent.
-    double abandon_after = std::numeric_limits<double>::infinity();
-    if (cfg_.retry.stage_timeout_s > 0.0)
-        abandon_after = std::max(
-            kSliceS,
-            stage_start_s + cfg_.retry.stage_timeout_s - now());
-
-    const double t0 = Clock::steady().now();
-    launch(/*is_backup=*/false);
-
-    std::unique_lock<std::mutex> lock(state->mu);
-    bool hedge_spent = false;
-    auto settled = [&] {
-        return state->winner || state->pending == 0;
-    };
-    while (!settled()) {
-        const CancelReason cr = req.cancel_.reason();
-        const double waited = Clock::steady().now() - t0;
-        if (cr != CancelReason::None || waited >= abandon_after) {
-            // Abandon the in-flight read: fire the fetch token (a
-            // wedged store read polls it and unwinds), then leave
-            // WITHOUT waiting for the task to settle.
-            state->abandoned = true;
-            state->cancel.cancel(cr != CancelReason::None
-                                     ? cr
-                                     : CancelReason::Abandoned);
-            lock.unlock();
-            state->cv.notify_all();
-            {
-                std::lock_guard<std::mutex> elock(mu_);
-                ++stats_.reads_abandoned;
-            }
-            if (cr != CancelReason::None)
-                req.cancel_.throwIfFired();
-            throwError(ErrorKind::Transient,
-                       "timed fetch: read of object %llu scans "
-                       "[%d, %d) abandoned after %.3fs",
-                       static_cast<unsigned long long>(req.id),
-                       from, target, waited);
-        }
-        double next = kSliceS;
-        if (std::isfinite(abandon_after))
-            next = std::min(next, abandon_after - waited);
-        if (may_hedge && !hedge_spent &&
-            req.hedges < hc.max_per_request) {
-            const double until_hedge = delay - waited;
-            if (until_hedge <= 0.0) {
-                // The primary is slow past the hedge delay: spend
-                // ONE backup if the in-flight budget allows it.
-                hedge_spent = true;
-                if (hedges_inflight_.fetch_add(
-                        1, std::memory_order_relaxed) >=
-                    hc.inflight_budget) {
-                    hedges_inflight_.fetch_sub(
-                        1, std::memory_order_relaxed);
-                    continue; // budget refused; keep waiting unhedged
-                }
-                ++req.hedges;
-                lock.unlock();
-                {
-                    std::lock_guard<std::mutex> elock(mu_);
-                    ++stats_.hedges_issued;
-                }
-                launch(/*is_backup=*/true);
-                lock.lock();
-                continue;
-            }
-            next = std::min(next, until_hedge);
-        }
-        state->cv.wait_for(lock,
-                           std::chrono::duration<double>(
-                               std::max(next, 1e-4)),
-                           settled);
-    }
-
-    if (!state->winner) {
-        std::exception_ptr err = state->first_error;
-        lock.unlock();
-        if (err)
-            std::rethrow_exception(err);
-        throwError(ErrorKind::Transient,
-                   "guarded fetch: all attempts settled with no "
-                   "result for object %llu",
-                   static_cast<unsigned long long>(req.id));
-    }
-
-    const bool backup_won = state->winner_is_backup;
-    std::vector<uint8_t> win_buf = std::move(state->win_buf);
-    const size_t got = state->win_got;
-    lock.unlock();
-
-    delivery.bytes.insert(
-        delivery.bytes.end(),
-        win_buf.begin() + static_cast<ptrdiff_t>(begin),
-        win_buf.end());
-    if (may_hedge) {
-        std::lock_guard<std::mutex> lk(hedge_mu_);
-        hedge_lat_.record(Clock::steady().now() - t0);
-    }
-    if (backup_won && req.hedges > 0) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.hedge_wins;
-    }
-    return got;
+    meter();
 }
 
 void
@@ -877,23 +452,22 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     const auto &grid = scale_->resolutions();
     const int num_scans = enc.numScans();
 
-    // Per-request delivery buffer: header + side tables from the
-    // store, payload bytes PHYSICALLY fetched below. Faults (short
-    // reads, bit flips) damage only this copy — never the store's
-    // pristine object — and the resumable decoder is bound to it.
+    // Per-request delivery buffer (see storage/scan_fetcher.hh): the
+    // resumable decoder is bound to it, never to the store's object.
     EncodedImage delivery = enc.headerCopy();
     ProgressiveDecoder dec(delivery);
     // The decoder polls the request token between scans, so a cancel
     // or deadline firing stops decode at a clean prefix boundary.
     dec.setCancel(&req.cancel_);
+    // One read shared by both fetch stages.
+    ScanRead read{req.id, &req.cancel_,
+                  [this, &req] { heartbeat(req, "fetch"); }};
 
     int r_idx = 0;
     int resolution = 0;
     int kprev = 0;
     int total = 0;
-    size_t bytes = 0;
     bool capped = false;
-    bool charged_full = false;
     // Stage-1 cache hit, when any; carried into stage 2 so a hit's
     // ready-made preview pixels are reused.
     DecodeCache::EntryPtr hit;
@@ -963,8 +537,7 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
                     std::lock_guard<std::mutex> lock(mu_);
                     ++stats_.cache_misses;
                 }
-                fetchScansWithRetry(req, delivery, dec, kprev, bytes,
-                                    charged_full, t0);
+                fetchStage(req, read, delivery, dec, kprev);
             }
             pollCancel();
             heartbeat(req, "scale-model");
@@ -1015,11 +588,8 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
 
         // Stage 4: ranged read + resumed decode of the remaining
         // scans the decision needs. The decoder continues from the
-        // preview state — no scan is decoded twice. The full-read
-        // denominator is charged by whichever fetch starts at scan 0
-        // (at most one per request: the stage-1 read, or this one
-        // when no preview byte was fetched). When the retry budget
-        // runs out the request is served DEGRADED at the scan depth
+        // preview state — no scan is decoded twice. When the fetcher
+        // gives up the request is served DEGRADED at the scan depth
         // already decoded.
         pollCancel();
         heartbeat(req, "resume-fetch");
@@ -1053,8 +623,7 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         }
         if (dec.scansDecoded() < total) {
             fetched_tail = true;
-            fetchScansWithRetry(req, delivery, dec, total, bytes,
-                                charged_full, now());
+            fetchStage(req, read, delivery, dec, total);
         }
         // Offer the full-depth prefix when this request paid a
         // physical fetch to reach it. Snapshot-only (empty preview):
@@ -1068,18 +637,17 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         if (e.kind() != ErrorKind::Cancelled)
             throw;
         // Cancelled mid-pipeline at a clean prefix boundary: meter
-        // what was actually read, then terminate by the reason that
-        // fired (client hangup vs. deadline expiry). Output fields
-        // are not valid, but the accounting is.
+        // what was actually decoded (fetchStage metered the bytes),
+        // then terminate by the reason that fired (client hangup vs.
+        // deadline expiry). Output fields are not valid, but the
+        // accounting is.
         req.preview_scans = kprev;
         req.scans_read = dec.scansDecoded();
         req.scans_intended = total;
-        req.bytes_read = bytes;
         req.decode_s = now() - req.submit_s_;
         {
             std::lock_guard<std::mutex> lock(mu_);
             stats_.scans_read += static_cast<uint64_t>(dec.scansDecoded());
-            stats_.bytes_read += bytes;
         }
         markTerminal(req,
                      req.cancel_.reason() == CancelReason::Client
@@ -1100,13 +668,11 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     req.preview_scans = kprev;
     req.scans_read = achieved;
     req.scans_intended = total;
-    req.bytes_read = bytes;
 
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.decoded;
         stats_.scans_read += static_cast<uint64_t>(achieved);
-        stats_.bytes_read += bytes;
         stats_.resolution_hist[static_cast<size_t>(r_idx)] += 1;
         if (capped)
             ++stats_.tier_capped;

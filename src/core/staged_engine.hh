@@ -45,38 +45,27 @@
  * decision + byte flow without paying for backbone inference whose
  * accuracy is modeled analytically anyway.
  *
- * Fault tolerance: stages 1 and 4 decode from a per-request DELIVERY
- * BUFFER (EncodedImage::headerCopy() plus fetched bytes), so storage
- * faults (storage/fault_injection.hh) damage only that request's
- * copy. Recoverable fetch faults (Transient / Truncated / Corrupt,
- * the last caught by the per-scan checksum BEFORE the damaged scan
- * decodes) are retried with exponential backoff + deterministic
- * jitter (StagedRetryConfig), charged against the deadline and the
- * per-stage timeout. When the budget or attempt cap runs out the
- * request DEGRADES: it is served at the scan depth already decoded,
- * bit-identical to a clean decode of that prefix. Unrecoverable
- * faults (NotFound, mid-scan Decode damage, or no decodable scan at
- * all) end Failed. Worker threads contain every request-scoped
- * throw: one poisoned request never stalls its batch or kills a
- * worker, and every admitted request reaches one of Done / Degraded /
- * Shed / Expired / Failed / Rejected / Cancelled.
+ * Fault tolerance: stages 1 and 4 read through a ScanFetcher
+ * (storage/scan_fetcher.hh: retry, hedged reads, timed abandonment).
+ * When it gives up the request DEGRADES to the scan depth already
+ * decoded, bit-identical to a clean decode of that prefix.
+ * Unrecoverable faults (NotFound, mid-scan Decode damage, or no
+ * decodable scan at all) end Failed. Worker threads contain every
+ * request-scoped throw: one poisoned request never stalls its batch
+ * or kills a worker, and every admitted request reaches a terminal.
  *
  * Overload control (OverloadConfig; narrative in docs/robustness.md)
  * adds three fleet-level defenses. (1) A BreakerObjectStore
  * (storage/breaker.hh) fail-fasts fetches while the storage tier is
- * sick; the retry loop honors Error::failFast() by skipping its
- * backoff and degrading immediately. (2) Hedged reads: a stage-1/4
- * fetch slower than a quantile-tracked delay races ONE backup on a
- * small pool; the first success wins, the loser's bytes are still
- * charged, and per-request and global caps prevent hedge storms.
- * Hedge timing is wall-clock by design (it races real threads).
- * (3) A quality-tier ladder (core/quality_ladder.hh) picks each
- * request's tier once, at formation, from decode-queue depth and the
- * windowed terminal outcomes: it caps preview/scan depth and the
- * decided resolution (fixed-resolution mode too), stamps the backbone
- * int8, and at a non-admitting tier REJECTS submissions with the
- * typed Rejected terminal. It is the only shedding controller a
- * request meets: the inner backbone ladder must be empty.
+ * sick; the fetcher then degrades without a backoff sleep. (2) Hedged
+ * reads (HedgeConfig, run by the fetcher). (3) A quality-tier ladder
+ * (core/quality_ladder.hh) picks each request's tier once, at
+ * formation, from decode-queue depth and the windowed terminal
+ * outcomes: it caps preview/scan depth and the decided resolution
+ * (fixed-resolution mode too), stamps the backbone int8, and at a
+ * non-admitting tier REJECTS submissions with the typed Rejected
+ * terminal. It is the only shedding controller a request meets: the
+ * inner backbone ladder must be empty.
  *
  * Lifecycle supervision (narrative in docs/robustness.md): every
  * request carries a cooperative CancelToken (util/cancel.hh) armed
@@ -84,15 +73,10 @@
  * it between delivery chunks, the decoder between scans and the
  * engine between stages, so a client hangup ends Cancelled and
  * mid-pipeline expiry ends Expired — always on a clean scan boundary,
- * bit-identical to a clean decode of that prefix. With
- * stage_timeout_s > 0 every storage read runs on the I/O pool under a
- * wall-clock bound: on timeout the worker ABANDONS the read (counted
- * in reads_abandoned; late bytes are still metered; the give-up is a
- * breaker-counted Transient) and falls into retry/degrade. A Watchdog
+ * bit-identical to a clean decode of that prefix. A Watchdog
  * (util/watchdog.hh) fail-fasts any request holding a decode worker
- * silent past the liveness budget. Terminal conservation:
- *   admitted == done + degraded + failed + expired + shed + rejected
- *               + cancelled.
+ * silent past the liveness budget. Terminal conservation: see
+ * StagedStats.
  */
 
 #ifndef TAMRES_CORE_STAGED_ENGINE_HH
@@ -109,10 +93,10 @@
 #include "core/scale_model.hh"
 #include "storage/decode_cache.hh"
 #include "storage/object_store.hh"
+#include "storage/scan_fetcher.hh"
 #include "util/cancel.hh"
 #include "util/clock.hh"
 #include "util/watchdog.hh"
-#include "util/windowed.hh"
 
 namespace tamres {
 
@@ -182,71 +166,6 @@ struct StagedRequest
 };
 
 /**
- * Deadline-aware retry policy for storage fetch faults (stages 1/4).
- *
- * Attempt n (n >= 1 retries) sleeps
- *   min(backoff_base_s * 2^(n-1), backoff_max_s) * f,
- * where f is a deterministic jitter factor in [1 - jitter, 1] drawn
- * from (seed, object id, attempt). The sleep is charged against the
- * request deadline and the per-stage timeout: a retry whose backoff
- * does not fit the remaining budget is abandoned immediately (the
- * request degrades or fails) — a retry sleep NEVER runs past the
- * deadline.
- */
-struct StagedRetryConfig
-{
-    int max_attempts = 3;          //!< total tries per fetch stage
-    double backoff_base_s = 1e-3;  //!< first retry's nominal sleep
-    double backoff_max_s = 50e-3;  //!< exponential backoff ceiling
-    double jitter = 0.5;           //!< fractional jitter span [0, 1)
-    uint64_t seed = 0x5eed;        //!< jitter determinism
-
-    /**
-     * Per-stage fetch budget in seconds (0 = none). When set, it
-     * bounds BOTH halves of a fetch stage: retry backoff sleeps are
-     * charged against it (a sleep that does not fit is abandoned and
-     * the request degrades), and every physical storage read runs on
-     * the engine's I/O pool under the budget's remaining wall-clock
-     * time — a read still in flight when the budget lapses is
-     * ABANDONED (timed-fetch containment: the worker stops waiting,
-     * counts reads_abandoned, and falls into the retry/degrade
-     * ladder; the abandoned read's late completion is discarded but
-     * its bytes still meter, and a wedged read is woken via the
-     * fetch's cancellation token and counted as a breaker failure).
-     * Budget time comes from the engine clock; the in-flight bound is
-     * wall-clock by construction, like hedge timing.
-     */
-    double stage_timeout_s = 0;
-};
-
-/**
- * Hedged-read policy for stages 1/4 (Dean's tail-at-scale move).
- *
- * When a fetch has been in flight longer than the hedge delay — the
- * delay_quantile of recent successful fetch latencies, clamped to
- * [min_delay_s, max_delay_s] and bootstrapped at max_delay_s until
- * enough samples exist — ONE backup fetch for the same range is
- * issued on a dedicated pool; the first success is adopted and the
- * loser's delivered bytes are still charged to bytes_read (honest
- * metering; the store's own ReadStats meter both fetches anyway).
- * max_per_request and inflight_budget bound the extra traffic so a
- * sick store cannot amplify load. Hedge timing is wall-clock by
- * construction (it races real threads); it ignores any injected
- * engine clock.
- */
-struct HedgeConfig
-{
-    bool enable = false;
-    double delay_quantile = 0.95; //!< hedge past this latency quantile
-    double min_delay_s = 1e-3;    //!< hedge-delay floor
-    double max_delay_s = 0.1;     //!< hedge-delay ceiling + bootstrap
-    int max_per_request = 1;      //!< backup fetches per request
-    int inflight_budget = 4;      //!< global concurrent backup cap
-    int pool_threads = 0;         //!< 0 = decode_workers + 2
-    int latency_window = 64;      //!< samples kept for the quantile
-};
-
-/**
  * Worker-liveness supervision policy (the engine-side face of
  * util/watchdog.hh). Decode workers heartbeat at stage boundaries and
  * per retry attempt; a busy worker silent past liveness_budget_s is
@@ -274,9 +193,8 @@ struct OverloadConfig
 
     /**
      * Time source for deadlines, retry backoff, and ladder dwell —
-     * nullptr means Clock::steady(). Tests inject a ManualClock to
-     * replay controller transitions deterministically. Hedge timing
-     * deliberately stays wall-clock (see HedgeConfig).
+     * nullptr means Clock::steady(); tests inject a ManualClock. Hedge
+     * timing deliberately stays wall-clock (see HedgeConfig).
      */
     Clock *clock = nullptr;
 };
@@ -458,19 +376,13 @@ class StagedServingEngine
     }
 
   private:
-    class IoPool;
-
     void decodeLoop();
     void processOne(StagedRequest &req, int depth);
     void processOneImpl(StagedRequest &req, int depth);
-    bool fetchScansWithRetry(StagedRequest &req,
-                             EncodedImage &delivery,
-                             ProgressiveDecoder &dec, int target,
-                             size_t &bytes, bool &charged_full,
-                             double stage_start_s);
-    size_t guardedFetch(StagedRequest &req, int from, int target,
-                        EncodedImage &delivery, bool charge_full,
-                        double stage_start_s);
+    /** One fetch stage; meters its report on every outcome. */
+    void fetchStage(StagedRequest &req, ScanRead &read,
+                    EncodedImage &delivery, ProgressiveDecoder &dec,
+                    int target);
     void markTerminal(StagedRequest &req, StagedState state);
     /** Heartbeat this worker's watchdog slot (no-op unsupervised). */
     void heartbeat(StagedRequest &req, const char *phase);
@@ -488,7 +400,7 @@ class StagedServingEngine
     StagedEngineConfig cfg_;
     std::unique_ptr<ServingEngine> inner_; //!< null in decision-only
 
-    Clock *clock_;       //!< deadlines, backoff, ladder dwell
+    Clock *clock_;       //!< deadlines, ladder dwell
     double epoch_s_ = 0; //!< clock_->now() at construction
 
     mutable std::mutex mu_;
@@ -503,15 +415,8 @@ class StagedServingEngine
     // buffers, so concurrent decode workers serialize inference.
     mutable std::mutex scale_mu_;
 
-    // Detached I/O: the pool that runs hedged AND timed fetches, plus
-    // the wall-clock hedge latency window (hedge_mu_ guards hedge_lat_
-    // only; the in-flight budget is a bare atomic so backup
-    // completions never take an engine lock). The pool exists when
-    // hedging is enabled OR stage_timeout_s > 0.
-    std::unique_ptr<IoPool> io_pool_; //!< null when neither is on
-    mutable std::mutex hedge_mu_;
-    QuantileWindow hedge_lat_;
-    std::atomic<int> hedges_inflight_{0};
+    // Stage-1/4 read policy; its I/O pool is joined by stop().
+    ScanFetcher fetcher_;
 
     // Worker supervision: the watchdog plus the worker -> in-flight
     // request map its flag callback uses to fire the right token.
@@ -524,11 +429,9 @@ class StagedServingEngine
     // Load shedding: the ladder's controller (internally locked).
     QualityController ladder_;
 
-    // Counters: ONE StagedStats guarded by mu_, mutated field-wise by
-    // the workers and copied wholesale by stats() — a snapshot is a
-    // single critical section, never a field-at-a-time stitch. The
-    // live-state fields (decode_queue_depth, the tier fields, cache,
-    // backbone) are filled in at snapshot time, not maintained here.
+    // Counters, guarded by mu_ and copied wholesale by stats(). The
+    // live-state fields (queue depth, ladder, cache, backbone, the
+    // fetcher's detached bytes) are added at snapshot time.
     StagedStats stats_;
 
     std::vector<std::thread> threads_;

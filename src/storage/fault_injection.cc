@@ -12,16 +12,6 @@ namespace tamres {
 
 namespace {
 
-/** splitmix64 finalizer: turns a counter into a well-mixed word. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** Combine fault-draw inputs into one deterministic 64-bit seed. */
 uint64_t
 mixSeed(uint64_t seed, uint64_t id, int from, int to, int attempt)

@@ -134,8 +134,8 @@ class ObjectStore
     /**
      * Read additional scans of an object already partially read in this
      * request context: charges only the incremental bytes between
-     * @p from_scans and @p to_scans (the dynamic pipeline's second
-     * fetch reuses the scan-1..k bytes it already has).
+     * @p from_scans and @p to_scans (a request's second fetch reuses
+     * the scan-1..k bytes it already has).
      *
      * Non-virtual wrapper over fetchScanRange(charge_full = false);
      * the full-read denominator was charged by the logical request's

@@ -33,6 +33,7 @@
 #define TAMRES_UTIL_CANCEL_HH
 
 #include <atomic>
+#include <limits>
 #include <string>
 
 #include "util/clock.hh"
@@ -96,7 +97,7 @@ class CancelToken
     {
         reason_.store(0, std::memory_order_relaxed);
         clock_ = nullptr;
-        deadline_abs_s_ = 0.0;
+        deadline_abs_s_ = std::numeric_limits<double>::infinity();
     }
 
     /** Fire the token. First reason wins; later calls are no-ops. */
@@ -135,7 +136,7 @@ class CancelToken
     /** True once the token has fired for any reason. */
     bool fired() const { return reason() != CancelReason::None; }
 
-    /** Absolute deadline in the armed clock's units (0 = unarmed). */
+    /** Absolute deadline in the armed clock's units (+inf = unarmed). */
     double deadlineAbs() const { return deadline_abs_s_; }
 
     /**
@@ -174,7 +175,7 @@ class CancelToken
   private:
     std::atomic<int> reason_{0};
     const Clock *clock_ = nullptr;
-    double deadline_abs_s_ = 0.0;
+    double deadline_abs_s_ = std::numeric_limits<double>::infinity();
 };
 
 } // namespace tamres

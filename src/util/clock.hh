@@ -3,7 +3,7 @@
  * Injectable time source for the overload control plane.
  *
  * The circuit breaker's cooldown, the quality controller's dwell
- * timers and the staged engine's retry backoff all reason about
+ * timers and the ScanFetcher's retry backoff all reason about
  * elapsed time. Binding them to std::chrono directly would make every
  * state-machine test a sleep-and-hope affair; instead they take a
  * Clock, and tests inject a ManualClock whose time only moves when

@@ -15,6 +15,16 @@
 
 namespace tamres {
 
+/** splitmix64 finalizer: turns a counter into a well-mixed word. */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /** A small, fast, seedable PRNG (xoshiro256**). */
 class Rng
 {
@@ -29,11 +39,8 @@ class Rng
         // splitmix64 to fill state; avoids the all-zero state.
         uint64_t x = seed;
         for (auto &s : state_) {
+            s = mix64(x);
             x += 0x9e3779b97f4a7c15ull;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            s = z ^ (z >> 31);
         }
     }
 

@@ -13,9 +13,9 @@
  *    quantile extraction (hedge-delay tracking).
  *
  * None of these lock: each is embedded in an owner that already
- * serializes access (the breaker's mutex, the engine's stats mutex).
- * Time is passed in by the caller so the owner's injectable Clock is
- * the single source of truth.
+ * serializes access (the breaker's mutex, the scan fetcher's latency
+ * mutex). Time is passed in by the caller so the owner's injectable
+ * Clock is the single source of truth.
  */
 
 #ifndef TAMRES_UTIL_WINDOWED_HH

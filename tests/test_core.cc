@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
+#include "core/staged_engine.hh"
 
 namespace tamres {
 namespace {
@@ -295,38 +296,29 @@ TEST(Pipeline, DynamicPipelineProcessesStoredImage)
     ScaleModel scale({112, 224}, opts);
     scale.train(ds, 0, 6, BackboneArch::ResNet18, {0.75}, 96);
 
-    DynamicPipeline::Config cfg;
-    cfg.resolutions = {112, 224};
-    cfg.policy.resolutions = {112, 224};
-    cfg.policy.thresholds = {0.97, 0.97};
+    // Read depth per resolution: the scans that reach SSIM 0.97.
+    const QualityTable table(ds, 0, 6, {112, 224});
+    StagedEngineConfig cfg;
     cfg.crop_area = 0.75;
-    DynamicPipeline pipe(store, scale, cfg);
+    cfg.scan_depth = [&](uint64_t id, int r_idx) {
+        return table.scansForThreshold(
+            static_cast<int>(id - ds.record(0).id), r_idx, 0.97);
+    };
+    StagedServingEngine engine(store, scale, nullptr, cfg);
 
-    const auto d = pipe.process(ds.record(0).id);
-    EXPECT_TRUE(d.resolution == 112 || d.resolution == 224);
-    EXPECT_GE(d.scans_read, cfg.preview_scans);
-    EXPECT_GT(d.bytes_read, 0u);
-    EXPECT_EQ(d.input.height(), d.resolution);
-    EXPECT_EQ(d.input.width(), d.resolution);
-    EXPECT_EQ(store.stats().bytes_read, d.bytes_read);
-    EXPECT_LE(d.bytes_read,
-              store.peek(ds.record(0).id).totalBytes());
-}
-
-TEST(Pipeline, SetCropAreaValidated)
-{
-    SyntheticDataset ds(tinySpec(), 2, 3);
-    ObjectStore store;
-    ds.ingest(store, 0, 2);
-    ScaleModelOptions opts;
-    ScaleModel scale({112, 224}, opts);
-    DynamicPipeline::Config cfg;
-    cfg.resolutions = {112, 224};
-    cfg.policy.resolutions = {112, 224};
-    cfg.policy.thresholds = {0.97, 0.97};
-    DynamicPipeline pipe(store, scale, cfg);
-    pipe.setCropArea(0.5);
-    EXPECT_DEATH(pipe.setCropArea(0.0), "crop area");
+    StagedRequest req;
+    req.id = ds.record(0).id;
+    ASSERT_TRUE(engine.submit(req));
+    engine.wait(req);
+    ASSERT_EQ(req.stateNow(), StagedState::Done);
+    EXPECT_TRUE(req.resolution == 112 || req.resolution == 224);
+    EXPECT_EQ(engine.resolutions()[req.resolution_index],
+              req.resolution);
+    EXPECT_GE(req.scans_read, cfg.preview_scans);
+    EXPECT_GT(req.bytes_read, 0u);
+    EXPECT_EQ(store.stats().bytes_read, req.bytes_read);
+    EXPECT_EQ(engine.stats().bytes_read, req.bytes_read);
+    EXPECT_LE(req.bytes_read, store.peek(req.id).totalBytes());
 }
 
 TEST(Pipeline, PaperResolutionGrid)

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <chrono>
@@ -1394,6 +1396,80 @@ TEST_F(StagedEngineTest, ClientCancelWakesWedgedReadMidFlight)
     EXPECT_EQ(st.cancelled, 1u);
     EXPECT_EQ(st.bytes_read, req.bytes_read);
 }
+
+/**
+ * Delivers the first scan of the first multi-scan range, then cancels
+ * the request and fetches the rest with the token it was handed: the
+ * fetch throws after the base store appended and metered one scan.
+ */
+class CancelMidRangeStore : public ObjectStore
+{
+  public:
+    explicit CancelMidRangeStore(ObjectStore &base) : base_(&base) {}
+
+    const EncodedImage &
+    peek(uint64_t id) const override
+    {
+        return base_->peek(id);
+    }
+
+    ReadStats stats() const override { return base_->stats(); }
+
+    size_t
+    fetchScanRange(uint64_t id, int from, int to,
+                   std::vector<uint8_t> &dst, bool charge_full,
+                   size_t max_bytes,
+                   const CancelToken *cancel) override
+    {
+        if (to - from < 2 || !armed_.exchange(false))
+            return base_->fetchScanRange(id, from, to, dst, charge_full,
+                                         max_bytes, cancel);
+        const size_t got = base_->fetchScanRange(
+            id, from, from + 1, dst, charge_full, max_bytes, cancel);
+        engine->cancel(*req);
+        // A pooled read's token fires once the waiter sees the cancel.
+        while (!cancel->fired())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return got + base_->fetchScanRange(id, from + 1, to, dst, false,
+                                           max_bytes, cancel);
+    }
+
+    StagedServingEngine *engine = nullptr;
+    StagedRequest *req = nullptr;
+
+  private:
+    ObjectStore *base_;
+    std::atomic<bool> armed_{true};
+};
+
+class StagedEngineMeterTest : public StagedEngineTest,
+                              public ::testing::WithParamInterface<bool>
+{};
+
+TEST_P(StagedEngineMeterTest, ThrowingFetchStillMetersDeliveredBytes)
+{
+    // The store meters the scan it appended before the cancellation
+    // made it throw; the engine's meter must agree with the store's on
+    // the direct path (hedging off) and the pooled path (hedging on).
+    CancelMidRangeStore store(store_);
+    StagedEngineConfig cfg = baseConfig();
+    cfg.overload.hedge.enable = GetParam();
+    StagedServingEngine engine(store, *scale_, nullptr, cfg);
+    StagedRequest req;
+    req.id = 0;
+    store.engine = &engine;
+    store.req = &req;
+    ASSERT_TRUE(engine.submit(req));
+    engine.wait(req);
+    ASSERT_EQ(req.stateNow(), StagedState::Cancelled);
+
+    engine.stop(); // a pooled read meters when it settles
+    EXPECT_EQ(store.stats().bytes_read, store_.peek(0).bytesForScans(1));
+    EXPECT_EQ(engine.stats().bytes_read, store.stats().bytes_read);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hedging, StagedEngineMeterTest,
+                         ::testing::Bool());
 
 TEST_F(StagedEngineTest, WatchdogFlagsWedgedWorkerAndFailFasts)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Integration tests: the full dynamic-resolution flow — dataset ->
- * progressive store -> calibration -> scale model -> dynamic pipeline —
+ * progressive store -> calibration -> scale model -> staged engine —
  * exercised end to end at reduced scale, checking the paper's headline
  * claims qualitatively (dynamic near the static apex, positive read
  * savings at bounded accuracy loss).
@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "core/pipeline.hh"
+#include "core/staged_engine.hh"
 
 namespace tamres {
 namespace {
@@ -24,6 +25,44 @@ smallSpec()
     spec.mean_width = 190;
     spec.size_jitter = 0.15;
     return spec;
+}
+
+/**
+ * Serve records [10, 20) of @p ds from @p store through a
+ * decision-only staged engine. Each object's read depth is what its
+ * calibrated threshold needs at the decided resolution, measured once
+ * at ingest time (a quality table over the served records, encoded
+ * with the store's @p codec). Checks that the engine's byte meter
+ * agrees with the store's.
+ */
+std::vector<StagedRequest>
+serveDecisions(ObjectStore &store, const ScaleModel &scale,
+               const SyntheticDataset &ds, const StoragePolicy &policy,
+               const std::vector<int> &grid,
+               const ProgressiveConfig &codec)
+{
+    const QualityTable served(ds, 10, 20, grid, codec);
+    StagedEngineConfig cfg;
+    cfg.crop_area = 0.75;
+    cfg.scan_depth = [&](uint64_t id, int r_idx) {
+        return served.scansForThreshold(
+            static_cast<int>(id - ds.record(10).id), r_idx,
+            policy.thresholdFor(r_idx));
+    };
+    StagedServingEngine engine(store, scale, nullptr, cfg);
+    const uint64_t before = store.stats().bytes_read;
+    std::vector<StagedRequest> reqs(10);
+    for (int i = 0; i < 10; ++i) {
+        reqs[i].id = ds.record(10 + i).id;
+        EXPECT_TRUE(engine.submit(reqs[i]));
+    }
+    for (StagedRequest &req : reqs) {
+        engine.wait(req);
+        EXPECT_EQ(req.stateNow(), StagedState::Done);
+    }
+    EXPECT_EQ(engine.stats().bytes_read,
+              store.stats().bytes_read - before);
+    return reqs;
 }
 
 TEST(Integration, CalibratedPolicySavesBytesWithoutAccuracyCollapse)
@@ -101,18 +140,15 @@ TEST(Integration, EndToEndStoreToDecision)
     ScaleModel scale({112, 224}, sopts);
     scale.train(ds, 0, 10, BackboneArch::ResNet18, {0.75}, 96);
 
-    DynamicPipeline::Config cfg;
-    cfg.resolutions = {112, 224};
-    cfg.policy = policy;
-    cfg.crop_area = 0.75;
-    DynamicPipeline pipe(store, scale, cfg);
-
+    ProgressiveConfig plain;
+    plain.quality = ds.spec().encode_quality;
     store.resetStats();
+    const std::vector<StagedRequest> reqs =
+        serveDecisions(store, scale, ds, policy, {112, 224}, plain);
     uint64_t bytes = 0;
-    for (int i = 10; i < 20; ++i) {
-        const auto d = pipe.process(ds.record(i).id);
-        bytes += d.bytes_read;
-        EXPECT_GT(d.resolution, 0);
+    for (const StagedRequest &req : reqs) {
+        bytes += req.bytes_read;
+        EXPECT_GT(req.resolution, 0);
     }
     EXPECT_EQ(store.stats().bytes_read, bytes);
     // The pipeline must not read everything for every image.
@@ -124,7 +160,7 @@ TEST(Integration, CodecModesComposeWithPipeline)
     // Ingest the same dataset under the default codec and under the
     // compact configuration (successive approximation + YCbCr 4:2:0 +
     // Huffman); both stores must drive the full calibrate -> scale
-    // model -> dynamic pipeline flow, and the compact store must move
+    // model -> staged serving flow, and the compact store must move
     // strictly fewer absolute bytes for the same requests.
     SyntheticDataset ds(smallSpec(), 20, 123);
 
@@ -133,6 +169,8 @@ TEST(Integration, CodecModesComposeWithPipeline)
     compact.scans = ProgressiveConfig::successiveScans();
     compact.color = ColorMode::YCbCr420;
     compact.entropy = EntropyCoder::Huffman;
+    ProgressiveConfig plain;
+    plain.quality = ds.spec().encode_quality;
 
     BackboneAccuracyModel model(BackboneArch::ResNet18, ds.spec(), 1);
     ScaleModelOptions sopts;
@@ -158,17 +196,15 @@ TEST(Integration, CodecModesComposeWithPipeline)
                 : calibrate(QualityTable(ds, 0, 10, {112, 224}), ds,
                             model, copts);
 
-        DynamicPipeline::Config cfg;
-        cfg.resolutions = {112, 224};
-        cfg.policy = policy;
-        cfg.crop_area = 0.75;
-        DynamicPipeline pipe(store, scale, cfg);
-        for (int i = 10; i < 20; ++i) {
-            const auto d = pipe.process(ds.record(i).id);
-            EXPECT_GT(d.resolution, 0);
-            EXPECT_GT(d.bytes_read, 0u);
-            bytes[use_compact] += d.bytes_read;
+        const std::vector<StagedRequest> reqs = serveDecisions(
+            store, scale, ds, policy, {112, 224},
+            use_compact ? compact : plain);
+        for (const StagedRequest &req : reqs) {
+            EXPECT_GT(req.resolution, 0);
+            EXPECT_GT(req.bytes_read, 0u);
+            bytes[use_compact] += req.bytes_read;
         }
+        EXPECT_EQ(store.stats().bytes_read, bytes[use_compact]);
     }
     EXPECT_LT(bytes[1], bytes[0])
         << "compact codec config should move fewer bytes end to end";
