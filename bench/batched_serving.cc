@@ -23,6 +23,7 @@
 #include "core/serving.hh"
 #include "nn/passes.hh"
 #include "util/thread_pool.hh"
+#include "util/windowed.hh"
 
 using namespace tamres;
 
@@ -143,14 +144,10 @@ main()
             unsetenv("TAMRES_THREADS");
         }
     }
-    auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-    };
-    const double serial_rps = median(serial_samples);
+    const double serial_rps = sampleQuantile(serial_samples, 0.5);
     std::vector<double> engine_rps(engine_batches.size());
     for (size_t ei = 0; ei < engine_batches.size(); ++ei)
-        engine_rps[ei] = median(engine_samples[ei]);
+        engine_rps[ei] = sampleQuantile(engine_samples[ei], 0.5);
 
     TablePrinter eng("engine closed-loop vs serial batch-1 runInto "
                      "(median serial baseline)");

@@ -43,6 +43,7 @@
 #include "image/synthetic.hh"
 #include "storage/decode_cache.hh"
 #include "storage/fault_injection.hh"
+#include "util/windowed.hh"
 
 using namespace tamres;
 
@@ -63,17 +64,6 @@ struct LegResult
     StagedStats stats;
     ReadStats store_stats;
 };
-
-double
-percentile(std::vector<double> &v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const size_t idx = std::min(
-        v.size() - 1, static_cast<size_t>(p * (v.size() - 1) + 0.5));
-    return v[idx];
-}
 
 /** Inverse-CDF Zipf(alpha) sampler over [0, n) with a fixed seed. */
 std::vector<uint64_t>
@@ -216,7 +206,7 @@ main()
                 ? static_cast<double>(res.done + res.degraded) /
                       elapsed
                 : 0.0;
-        res.p99_ms = percentile(served_lat, 0.99) * 1e3;
+        res.p99_ms = sampleQuantile(served_lat, 0.99) * 1e3;
         res.stats = engine.stats();
         res.store_stats = faulty.stats();
         engine.stop();

@@ -20,6 +20,7 @@
 #include "nn/passes.hh"
 #include "nn/quant.hh"
 #include "util/thread_pool.hh"
+#include "util/windowed.hh"
 
 using namespace tamres;
 
@@ -69,13 +70,8 @@ runLeg(ServingEngine &engine, const Tensor &item, int clients,
 
     LegResult res;
     res.rps = static_cast<double>(served.load()) / secs;
-    if (!lat.empty()) {
-        std::sort(lat.begin(), lat.end());
-        res.p50_ms = lat[lat.size() / 2] * 1e3;
-        res.p99_ms = lat[std::min(lat.size() - 1,
-                                  lat.size() * 99 / 100)] *
-                     1e3;
-    }
+    res.p50_ms = sampleQuantile(lat, 0.5) * 1e3;
+    res.p99_ms = sampleQuantile(lat, 0.99) * 1e3;
     return res;
 }
 

@@ -52,6 +52,7 @@
 #include "core/staged_engine.hh"
 #include "image/synthetic.hh"
 #include "storage/fault_injection.hh"
+#include "util/windowed.hh"
 
 using namespace tamres;
 
@@ -77,17 +78,6 @@ struct LegResult
     StagedStats stats;
     uint64_t faults_hung = 0;
 };
-
-double
-percentile(std::vector<double> &v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const size_t idx = std::min(
-        v.size() - 1, static_cast<size_t>(p * (v.size() - 1) + 0.5));
-    return v[idx];
-}
 
 } // namespace
 
@@ -234,7 +224,7 @@ main()
                 measured > 0
                     ? static_cast<double>(served_in_window) / measured
                     : 0.0;
-            res.p99_ms = percentile(served_lat, 0.99) * 1e3;
+            res.p99_ms = sampleQuantile(served_lat, 0.99) * 1e3;
 
             Timer td;
             engine.drain();

@@ -10,6 +10,9 @@ namespace tamres {
 
 namespace {
 
+constexpr size_t kPlanCapacity = 32;   //!< per-worker executor plan cache
+constexpr int kLatencySamples = 4096;  //!< p50/p99 window (EngineStats)
+
 /**
  * Deterministic bilinear downscale of one [h, w] plane to [R, R]
  * (half-pixel centers). The shed path of the engine: cheap relative
@@ -46,15 +49,13 @@ downscalePlane(const float *src, int h, int w, float *dst, int R)
 
 ServingEngine::ServingEngine(Graph &graph, EngineConfig config)
     : graph_(&graph), cfg_(std::move(config)),
-      epoch_(std::chrono::steady_clock::now())
+      latency_(kLatencySamples), epoch_(std::chrono::steady_clock::now())
 {
     tamres_assert(cfg_.workers >= 1, "engine needs >= 1 worker");
     tamres_assert(cfg_.max_batch >= 1 && cfg_.max_batch <= 64,
                   "max_batch must be in [1, 64]");
     tamres_assert(cfg_.queue_capacity >= cfg_.max_batch,
                   "queue must hold at least one full batch");
-    tamres_assert(cfg_.latency_samples >= 16,
-                  "latency reservoir too small");
     for (const QualityTier &t : cfg_.ladder)
         tamres_assert(t.preview_cap == 0 && t.scan_cap == 0 && t.admit,
                       "flat engine tiers cap resolution and precision "
@@ -62,15 +63,14 @@ ServingEngine::ServingEngine(Graph &graph, EngineConfig config)
 
     pending_.reserve(cfg_.queue_capacity);
     batch_hist_.assign(cfg_.max_batch + 1, 0);
-    latency_ring_.assign(cfg_.latency_samples, 0.0);
 
     workers_.resize(cfg_.workers);
     for (auto &w : workers_) {
         w.exec = std::make_unique<Graph::Executor>(*graph_,
-                                                   cfg_.plan_capacity);
+                                                   kPlanCapacity);
         if (cfg_.quant_graph) {
             w.qexec = std::make_unique<Graph::Executor>(
-                *cfg_.quant_graph, cfg_.plan_capacity);
+                *cfg_.quant_graph, kPlanCapacity);
         }
         w.items.reserve(cfg_.max_batch);
     }
@@ -168,14 +168,8 @@ ServingEngine::stats() const
     s.mean_batch =
         batches_ > 0 ? static_cast<double>(served_) / batches_ : 0.0;
     s.batch_hist = batch_hist_;
-    const size_t n = std::min(latency_count_, latency_ring_.size());
-    if (n > 0) {
-        std::vector<double> lat(latency_ring_.begin(),
-                                latency_ring_.begin() + n);
-        std::sort(lat.begin(), lat.end());
-        s.p50_latency_s = lat[n / 2];
-        s.p99_latency_s = lat[static_cast<size_t>(0.99 * (n - 1))];
-    }
+    s.p50_latency_s = latency_.quantile(0.5);
+    s.p99_latency_s = latency_.quantile(0.99);
     return s;
 }
 
@@ -297,7 +291,7 @@ ServingEngine::workerLoop(int idx)
         // Batch bookkeeping under the lock. A request may be freed by
         // its owner the moment it turns terminal, so every engine-side
         // read of the request happens BEFORE the state store. The
-        // served/batch counters and the latency reservoir track
+        // served/batch counters and the latency window track
         // successful batches only.
         if (ok) {
             ++batches_;
@@ -307,12 +301,8 @@ ServingEngine::workerLoop(int idx)
                 served_int8_ += w.items.size();
             }
             batch_hist_[w.items.size()] += 1;
-            for (const InferenceRequest *r : w.items) {
-                latency_ring_[latency_idx_] = r->latency_s;
-                latency_idx_ =
-                    (latency_idx_ + 1) % latency_ring_.size();
-                ++latency_count_;
-            }
+            for (const InferenceRequest *r : w.items)
+                latency_.record(r->latency_s);
         } else {
             failed_ += w.items.size();
         }

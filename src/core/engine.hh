@@ -67,7 +67,9 @@
  *               + cancelled.
  * Controller decisions (breaker transitions, tier shifts, retry
  * backoff) take time from an injectable Clock (util/clock.hh) and
- * replay deterministically; hedge timing alone is wall-clock.
+ * replay deterministically. Three timings race real threads and stay
+ * wall-clock: the hedge delay, the in-flight bound of a timed fetch
+ * (stage_timeout_s abandonment) and the watchdog's polling cadence.
  */
 
 #ifndef TAMRES_CORE_ENGINE_HH
@@ -84,6 +86,7 @@
 
 #include "core/quality_ladder.hh"
 #include "nn/graph.hh"
+#include "util/windowed.hh"
 
 namespace tamres {
 
@@ -145,8 +148,6 @@ struct EngineConfig
     int max_batch = 8;        //!< largest batch a worker forms
     int max_delay_us = 2000;  //!< linger for batch fill (0 = none)
     int queue_capacity = 256; //!< bounded admission
-    size_t plan_capacity = 32; //!< per-worker executor plan cache
-    int latency_samples = 4096; //!< p50/p99 reservoir size
 
     /**
      * Load shedding by queue depth (empty = off). The flat engine
@@ -185,7 +186,9 @@ struct EngineStats
     uint64_t batches_int8 = 0;  //!< batches run on the quantized graph
     double mean_batch = 0.0;    //!< served / batches
     std::vector<uint64_t> batch_hist; //!< index b = batches of size b
-    double p50_latency_s = 0.0; //!< over the sample reservoir
+    /** Latency quantiles (sampleQuantile, util/windowed.hh) over the
+     *  last 4096 served requests; failed batches are not sampled. */
+    double p50_latency_s = 0.0;
     double p99_latency_s = 0.0;
 };
 
@@ -266,9 +269,7 @@ class ServingEngine
     uint64_t served_int8_ = 0;
     uint64_t batches_int8_ = 0;
     std::vector<uint64_t> batch_hist_;
-    std::vector<double> latency_ring_;
-    size_t latency_idx_ = 0;
-    size_t latency_count_ = 0;
+    QuantileWindow latency_; //!< served latencies (successful batches)
 
     std::vector<Worker> workers_;
     std::vector<std::thread> threads_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/windowed.hh"
 
 namespace tamres {
 
@@ -30,9 +31,7 @@ ServingStats::fromRequests(const std::vector<ServedRequest> &reqs)
     }
     stats.mean_latency_s /= reqs.size();
     stats.mean_queueing_s /= reqs.size();
-    std::sort(latencies.begin(), latencies.end());
-    stats.p99_latency_s =
-        latencies[static_cast<size_t>(0.99 * (latencies.size() - 1))];
+    stats.p99_latency_s = sampleQuantile(latencies, 0.99);
     stats.utilization = makespan > 0 ? busy / makespan : 0.0;
     stats.mean_batch = reqs.size() / inv_batch;
     return stats;

@@ -22,7 +22,7 @@ BreakerObjectStore::BreakerObjectStore(ObjectStore &base,
                                        BreakerConfig config)
     : base_(&base), cfg_(config),
       clock_(config.clock ? config.clock : &Clock::steady()),
-      window_(config.window_s), latency_(config.latency_alpha)
+      window_(config.window_s)
 {}
 
 void
@@ -87,7 +87,6 @@ BreakerObjectStore::breakerStats() const
     BreakerStats out = counters_;
     out.state = state_;
     out.failure_rate = window_.badFraction(clock_->now());
-    out.latency_ewma_s = latency_.value();
     return out;
 }
 
@@ -127,15 +126,12 @@ BreakerObjectStore::admit(double now, bool &is_probe)
 }
 
 void
-BreakerObjectStore::settle(double now, bool is_probe, bool failed,
-                           double elapsed_s)
+BreakerObjectStore::settle(double now, bool is_probe, bool failed)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (is_probe && probes_in_flight_ > 0)
         --probes_in_flight_;
 
-    if (!failed)
-        latency_.record(elapsed_s);
     window_.record(now, failed);
 
     if (state_ == BreakerState::HalfOpen) {
@@ -149,24 +145,17 @@ BreakerObjectStore::settle(double now, bool is_probe, bool failed,
             ++counters_.closes;
             state_ = BreakerState::Closed;
             window_.reset();
-            latency_.reset();
         }
         return;
     }
 
     if (state_ == BreakerState::Closed &&
-        window_.total(now) >= cfg_.min_samples) {
-        const bool rate_trip =
-            window_.badFraction(now) >= cfg_.failure_threshold;
-        const bool latency_trip =
-            cfg_.latency_threshold_s > 0 && latency_.seeded() &&
-            latency_.value() >= cfg_.latency_threshold_s;
-        if (rate_trip || latency_trip) {
-            ++counters_.trips;
-            state_ = BreakerState::Open;
-            opened_at_ = now;
-            window_.reset();
-        }
+        window_.total(now) >= cfg_.min_samples &&
+        window_.badFraction(now) >= cfg_.failure_threshold) {
+        ++counters_.trips;
+        state_ = BreakerState::Open;
+        opened_at_ = now;
+        window_.reset();
     }
 }
 
@@ -180,7 +169,6 @@ BreakerObjectStore::fetchScanRange(uint64_t id, int from_scans,
     bool is_probe = false;
     admit(clock_->now(), is_probe); // throws fail-fast when rejected
 
-    const double t0 = clock_->now();
     try {
         const size_t got = base_->fetchScanRange(
             id, from_scans, to_scans, dst, charge_full, max_bytes,
@@ -192,13 +180,11 @@ BreakerObjectStore::fetchScanRange(uint64_t id, int from_scans,
                              obj.bytesForScans(from_scans);
         const bool truncated =
             got < std::min(clean, max_bytes);
-        settle(clock_->now(), is_probe, truncated,
-               clock_->now() - t0);
+        settle(clock_->now(), is_probe, truncated);
         return got;
     } catch (const Error &e) {
         if (e.kind() == ErrorKind::Transient) {
-            settle(clock_->now(), is_probe, /*failed=*/true,
-                   clock_->now() - t0);
+            settle(clock_->now(), is_probe, /*failed=*/true);
         } else {
             // NotFound, Cancelled etc.: a data/request error says
             // nothing about tier health — release any probe slot

@@ -4,9 +4,9 @@
  *
  * BreakerObjectStore wraps any ObjectStore (including a
  * FaultyObjectStore) and watches the health of its fetchScanRange
- * deliveries: the failure rate over a trailing time window and a
- * latency EWMA. When the tier is sick it stops sending fetches at all
- * — callers get an immediate Error{Transient} with failFast() set, so
+ * deliveries: the failure rate over a trailing time window. When the
+ * tier is sick it stops sending fetches at all — callers get an
+ * immediate Error{Transient} with failFast() set, so
  * the staged engine's retry loop degrades the request NOW instead of
  * burning its deadline on backoff sleeps toward a store that is known
  * to be down. That is the fleet-level half of PR 6's per-request
@@ -17,8 +17,7 @@
  *
  *   Closed   — all traffic passes; outcomes recorded. When the window
  *              holds >= min_samples and the failure fraction crosses
- *              failure_threshold (or the latency EWMA crosses
- *              latency_threshold_s, when enabled), trip to Open.
+ *              failure_threshold, trip to Open.
  *   Open     — every fetch fails fast without touching the base store.
  *              After cooldown_s of the injected clock, the next fetch
  *              is admitted as a probe (lazy transition to HalfOpen —
@@ -39,10 +38,8 @@
  * fetches, which is the honest signal.
  *
  * Only fetchScanRange is overridden, mirroring FaultyObjectStore: it
- * is the ONE virtual read primitive of the unified ObjectStore API,
- * and the convenience reads are non-virtual wrappers that route their
- * physical transfer through it — so the breaker's verdicts guard
- * every read entry point identically. Metadata access (peek) stays
+ * is the ONE read primitive of the unified ObjectStore API, so the
+ * breaker's verdicts guard every read. Metadata access (peek) stays
  * unguarded: it moves no payload bytes.
  *
  * All time comes from an injectable Clock so the state machine is
@@ -68,8 +65,6 @@ struct BreakerConfig
     double window_s = 1.0;           //!< failure-rate window length
     int min_samples = 8;             //!< evidence needed before tripping
     double failure_threshold = 0.5;  //!< trip when bad fraction >= this
-    double latency_threshold_s = 0;  //!< trip on EWMA >= this (0 = off)
-    double latency_alpha = 0.2;      //!< EWMA smoothing factor
     double cooldown_s = 0.25;        //!< Open dwell before probing
     int half_open_probes = 2;        //!< max concurrent HalfOpen probes
     int close_after = 3;             //!< probe successes to close
@@ -97,7 +92,6 @@ struct BreakerStats
     uint64_t probe_failures = 0; //!< probes that failed (re-opened)
     uint64_t closes = 0;         //!< HalfOpen -> Closed edges
     double failure_rate = 0;     //!< windowed bad fraction right now
-    double latency_ewma_s = 0;   //!< smoothed fetch latency
 };
 
 /**
@@ -113,8 +107,7 @@ class BreakerObjectStore : public ObjectStore
   public:
     BreakerObjectStore(ObjectStore &base, BreakerConfig config);
 
-    // Structural + pass-through surface (the convenience reads are
-    // non-virtual wrappers on the base class and need no forwarding).
+    // Structural + pass-through surface.
     void put(uint64_t id, EncodedImage image) override;
     bool contains(uint64_t id) const override;
     uint64_t storedBytes() const override;
@@ -146,8 +139,7 @@ class BreakerObjectStore : public ObjectStore
     bool admit(double now, bool &is_probe);
 
     /** Record one admitted fetch's outcome and run the trip logic. */
-    void settle(double now, bool is_probe, bool failed,
-                double elapsed_s);
+    void settle(double now, bool is_probe, bool failed);
 
     ObjectStore *base_;
     BreakerConfig cfg_;
@@ -159,7 +151,6 @@ class BreakerObjectStore : public ObjectStore
     int probes_in_flight_ = 0;  //!< admitted, un-settled probes
     int probe_successes_ = 0;   //!< consecutive, since HalfOpen entry
     WindowedOutcomes window_;
-    Ewma latency_;
     BreakerStats counters_;     //!< state/rate fields filled on read
 };
 

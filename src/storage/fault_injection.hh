@@ -11,12 +11,10 @@
  * seed — the property the fault-schedule tests and the BENCH_faults
  * harness rely on.
  *
- * Only fetchScanRange() — the ONE virtual read primitive of the
- * unified ObjectStore API — is overridden, and that is sufficient:
- * the convenience reads (readScans / readAdditionalScans /
- * readScanRangeBytes) are non-virtual wrappers that route their
- * physical transfer through it, so injected faults reach every read
- * entry point identically. Injection perturbs the per-request
+ * Only fetchScanRange() — the ONE read primitive of the unified
+ * ObjectStore API — is overridden, and that is sufficient: every
+ * payload byte leaves the store through it, so injected faults reach
+ * every read identically. Injection perturbs the per-request
  * delivery buffer, never the store's pristine copy; metadata access
  * (peek) stays untouched.
  */
@@ -110,8 +108,7 @@ class FaultyObjectStore : public ObjectStore
         : base_(&base), policy_(std::move(policy))
     {}
 
-    // Structural + pass-through surface (the convenience reads are
-    // non-virtual wrappers on the base class and need no forwarding).
+    // Structural + pass-through surface.
     void put(uint64_t id, EncodedImage image) override;
     bool contains(uint64_t id) const override;
     uint64_t storedBytes() const override;

@@ -64,52 +64,6 @@ ObjectStore::get(uint64_t id) const
     return it->second;
 }
 
-// The convenience reads are thin non-virtual wrappers over the one
-// virtual primitive. Each builds a per-call delivery buffer, routes
-// the physical transfer (and ALL metering) through fetchScanRange —
-// so a decorator's override applies — and decodes the bytes actually
-// delivered, never the pristine stored object.
-
-Image
-ObjectStore::readScans(uint64_t id, int num_scans)
-{
-    EncodedImage delivery = peek(id).headerCopy();
-    fetchScanRange(id, 0, num_scans, delivery.bytes,
-                   /*charge_full=*/true);
-    return decodeProgressive(delivery, num_scans);
-}
-
-Image
-ObjectStore::readAdditionalScans(uint64_t id, int from_scans,
-                                 int to_scans)
-{
-    // The caller already holds (and was charged for) the first
-    // from_scans scans, so the wrapper seeds the delivery buffer with
-    // that prefix unmetered and fetches only the incremental range.
-    // charge_full = false: the full-read denominator belongs to the
-    // logical request's FIRST read, even for a from_scans == 0 range.
-    const EncodedImage &obj = peek(id);
-    EncodedImage delivery = obj.headerCopy();
-    delivery.bytes.assign(obj.bytes.begin(),
-                          obj.bytes.begin() +
-                              obj.bytesForScans(from_scans));
-    fetchScanRange(id, from_scans, to_scans, delivery.bytes,
-                   /*charge_full=*/false);
-    return decodeProgressive(delivery, to_scans);
-}
-
-size_t
-ObjectStore::readScanRangeBytes(uint64_t id, int from_scans,
-                                int to_scans)
-{
-    // Scratch delivery buffer: a zero-filled placeholder prefix (the
-    // primitive only requires dst.size() == the range's start offset)
-    // plus the fetched range, discarded after metering.
-    std::vector<uint8_t> buf(peek(id).bytesForScans(from_scans));
-    return fetchScanRange(id, from_scans, to_scans, buf,
-                          /*charge_full=*/true);
-}
-
 size_t
 ObjectStore::fetchScanRange(uint64_t id, int from_scans, int to_scans,
                             std::vector<uint8_t> &dst, bool charge_full,

@@ -12,14 +12,11 @@
  * Error{NotFound} — a data/request error the serving tier maps to a
  * per-request failure, never a process abort.
  *
- * Unified read API: fetchScanRange is the ONE virtual read primitive —
- * the only method that physically delivers and meters payload bytes.
- * The convenience reads (readScans, readAdditionalScans,
- * readScanRangeBytes) are non-virtual wrappers implemented on it, so a
+ * Unified read API: fetchScanRange is the ONE read primitive — the
+ * only method that physically delivers and meters payload bytes. A
  * decorator (FaultyObjectStore's injection, BreakerObjectStore's
- * admission, a decode cache's invalidation hook) overrides exactly one
- * method and its semantics — metering, faults, breaker verdicts —
- * can never diverge across entry points.
+ * admission) overrides exactly that one virtual method, so its
+ * semantics — metering, faults, breaker verdicts — cover every read.
  */
 
 #ifndef TAMRES_STORAGE_OBJECT_STORE_HH
@@ -85,8 +82,8 @@ struct ReadStats
 /**
  * In-memory store of progressive images with metered reads.
  *
- * Concurrency contract: read-side calls (readScans, readScanRangeBytes,
- * fetchScanRange, peek, stats) are safe from multiple threads — the
+ * Concurrency contract: read-side calls (fetchScanRange, peek, stats)
+ * are safe from multiple threads — the
  * staged serving engine's decode workers meter ranged reads
  * concurrently. put() is a structural mutation and must not race any
  * read: populate the store, then serve.
@@ -121,53 +118,15 @@ class ObjectStore
     virtual size_t size() const { return objects_.size(); }
 
     /**
-     * Read the first @p num_scans scans of object @p id, charging their
-     * bytes to the store's statistics, and return the decoded preview.
-     *
-     * Non-virtual convenience wrapper over fetchScanRange: it fetches
-     * the [0, num_scans) range into a delivery buffer and decodes the
-     * bytes actually delivered, so a decorator's injected faults and
-     * admission verdicts apply to it identically.
-     */
-    Image readScans(uint64_t id, int num_scans);
-
-    /**
-     * Read additional scans of an object already partially read in this
-     * request context: charges only the incremental bytes between
-     * @p from_scans and @p to_scans (a request's second fetch reuses
-     * the scan-1..k bytes it already has).
-     *
-     * Non-virtual wrapper over fetchScanRange(charge_full = false);
-     * the full-read denominator was charged by the logical request's
-     * first read.
-     */
-    Image readAdditionalScans(uint64_t id, int from_scans,
-                              int to_scans);
-
-    /**
-     * Meter a ranged read of scans [from_scans, to_scans) WITHOUT
-     * decoding — the staged serving path fetches bytes here and feeds
-     * them to a resumable ProgressiveDecoder instead of re-decoding
-     * the whole prefix. Returns the incremental bytes charged. The
-     * full-read denominator is charged once per logical request, on
-     * the from_scans == 0 fetch.
-     *
-     * Non-virtual wrapper over fetchScanRange into a scratch delivery
-     * buffer that is discarded after metering.
-     */
-    size_t readScanRangeBytes(uint64_t id, int from_scans,
-                              int to_scans);
-
-    /**
      * THE virtual read primitive — every path that moves payload
      * bytes out of the store lands here, which is the single method a
      * decorator overrides.
      *
      * Physically deliver the bytes of scans [from_scans, to_scans) of
      * object @p id by appending them to @p dst, metering the appended
-     * bytes like readScanRangeBytes. Requires dst.size() ==
-     * scan_offsets[from_scans] of the stored object — i.e. @p dst is a
-     * delivery buffer holding exactly the scans before the range.
+     * bytes. Requires dst.size() == scan_offsets[from_scans] of the
+     * stored object — i.e. @p dst is a delivery buffer holding exactly
+     * the scans before the range.
      *
      * @p charge_full controls the full-read denominator: it is charged
      * only when from_scans == 0 AND charge_full is true, so a caller

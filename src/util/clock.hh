@@ -18,10 +18,15 @@
  * sleeps; the manual clock just advances itself, so a retry backoff
  * under test is charged against deadlines without ever blocking.
  *
- * Hedged reads are the deliberate exception: a hedge fires when a
- * fetch exceeds a real wall-clock delay (it races real threads), so
- * the hedge path always measures real time and is tested with real
- * (small) injected latencies rather than a manual clock.
+ * Three timings are deliberate exceptions, because each races real
+ * threads and so must measure real time: the hedge delay (a hedge
+ * fires when a fetch exceeds a wall-clock delay), the in-flight bound
+ * of a timed fetch (a pool read still running at the stage budget's
+ * wall-clock bound is abandoned), and the watchdog supervisor's
+ * polling cadence. Tests drive them with real (small) injected
+ * latencies rather than a manual clock. The stage budget and the
+ * watchdog's liveness budget themselves are measured on the injected
+ * clock.
  */
 
 #ifndef TAMRES_UTIL_CLOCK_HH

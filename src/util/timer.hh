@@ -7,10 +7,11 @@
 #ifndef TAMRES_UTIL_TIMER_HH
 #define TAMRES_UTIL_TIMER_HH
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <vector>
+
+#include "util/windowed.hh"
 
 namespace tamres {
 
@@ -53,8 +54,7 @@ medianRunSeconds(const std::function<void()> &fn, int reps = 3)
         fn();
         samples.push_back(t.seconds());
     }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
+    return sampleQuantile(samples, 0.5);
 }
 
 } // namespace tamres

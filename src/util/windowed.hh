@@ -1,21 +1,28 @@
 /**
  * @file
- * Small sliding-window statistics for overload control.
+ * Small sliding-window statistics and the repo's one percentile rule.
  *
- * Three fixed-footprint accumulators used by the circuit breaker and
- * the quality-ladder controller:
+ * Two fixed-footprint accumulators:
  *
  *  - WindowedOutcomes: good/bad event counts over a trailing time
  *    window, implemented as a ring of time buckets so old evidence
- *    ages out without per-event allocation or timestamp storage.
- *  - Ewma: exponentially-weighted moving average (latency smoothing).
+ *    ages out without per-event allocation or timestamp storage
+ *    (circuit breaker, quality-ladder controller).
  *  - QuantileWindow: ring of the last N samples with on-demand
- *    quantile extraction (hedge-delay tracking).
+ *    quantile extraction (hedge delay, engine p50/p99).
  *
- * None of these lock: each is embedded in an owner that already
- * serializes access (the breaker's mutex, the scan fetcher's latency
- * mutex). Time is passed in by the caller so the owner's injectable
- * Clock is the single source of truth.
+ * plus sampleQuantile(v, q), the single percentile rule every
+ * reported latency statistic uses: the element of rank
+ * round(q * (n - 1)), clamped to [0, n - 1], selected with
+ * nth_element; 0 when v is empty. At q = 0.5 that rank equals n / 2
+ * for every n. (Not named quantile(): perfbench/ brings both tamres
+ * and its own interpolating quantile() into scope.)
+ *
+ * The accumulators do not lock: each is embedded in an owner that
+ * already serializes access (the breaker's mutex, the scan fetcher's
+ * latency mutex, the engine's mutex). WindowedOutcomes takes time
+ * from the caller so the owner's injectable Clock is the single source
+ * of truth.
  */
 
 #ifndef TAMRES_UTIL_WINDOWED_HH
@@ -23,6 +30,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -129,40 +137,28 @@ class WindowedOutcomes
     std::vector<Bucket> ring_;
 };
 
-/** Exponentially-weighted moving average; first sample seeds it. */
-class Ewma
+/**
+ * The q-quantile (0..1) of @p v: the element of rank
+ * round(q * (n - 1)), clamped to [0, n - 1]; 0 when @p v is empty.
+ * Reorders @p v (nth_element), O(n).
+ */
+inline double
+sampleQuantile(std::vector<double> &v, double q)
 {
-  public:
-    explicit Ewma(double alpha) : alpha_(alpha) {}
-
-    void
-    record(double sample)
-    {
-        value_ = seeded_ ? (1.0 - alpha_) * value_ + alpha_ * sample
-                         : sample;
-        seeded_ = true;
-    }
-
-    double value() const { return seeded_ ? value_ : 0.0; }
-    bool seeded() const { return seeded_; }
-
-    void
-    reset()
-    {
-        seeded_ = false;
-        value_ = 0.0;
-    }
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool seeded_ = false;
-};
+    if (v.empty())
+        return 0.0;
+    const double last = static_cast<double>(v.size() - 1);
+    const auto k = static_cast<std::ptrdiff_t>(
+        std::clamp(std::round(q * last), 0.0, last));
+    std::nth_element(v.begin(), v.begin() + k, v.end());
+    return v[static_cast<size_t>(k)];
+}
 
 /**
  * Ring of the last N samples with on-demand quantile extraction.
- * quantile() copies into a scratch buffer and nth_elements it —
- * O(N) per query, fine for the per-fetch cadence it serves.
+ * quantile() copies the retained samples into a scratch buffer and
+ * applies sampleQuantile() to it — O(N) per query, fine for the
+ * per-fetch and per-stats() cadence it serves.
  */
 class QuantileWindow
 {
@@ -178,27 +174,16 @@ class QuantileWindow
         next_++;
     }
 
-    int64_t count() const
-    {
-        return std::min<int64_t>(next_,
-                                 static_cast<int64_t>(ring_.size()));
-    }
+    int64_t count() const { return static_cast<int64_t>(retained()); }
 
-    /** The q-quantile (0..1) of retained samples; 0 when empty. */
+    /** sampleQuantile() of the retained samples; 0 when empty. */
     double
     quantile(double q) const
     {
-        size_t n = static_cast<size_t>(count());
-        if (n == 0)
-            return 0.0;
         scratch_.assign(ring_.begin(),
-                        ring_.begin() + static_cast<ptrdiff_t>(n));
-        size_t k = static_cast<size_t>(
-            std::min<double>(n - 1, std::max(0.0, q * (n - 1))));
-        std::nth_element(scratch_.begin(),
-                         scratch_.begin() + static_cast<ptrdiff_t>(k),
-                         scratch_.end());
-        return scratch_[k];
+                        ring_.begin() +
+                            static_cast<std::ptrdiff_t>(retained()));
+        return sampleQuantile(scratch_, q);
     }
 
     void
@@ -208,9 +193,11 @@ class QuantileWindow
     }
 
   private:
+    size_t retained() const { return std::min(next_, ring_.size()); }
+
     std::vector<double> ring_;
     mutable std::vector<double> scratch_;
-    int64_t next_ = 0;
+    size_t next_ = 0;
 };
 
 } // namespace tamres

@@ -31,6 +31,19 @@ encodeTest(uint64_t seed)
         {.height = 40, .width = 40, .class_id = 1, .seed = seed}));
 }
 
+/**
+ * Fetch scans [from, to) of @p id into a scratch delivery buffer (a
+ * zero-filled placeholder prefix plus the range); returns the bytes
+ * charged.
+ */
+size_t
+fetchRange(ObjectStore &store, uint64_t id, int from, int to,
+           bool charge_full = true)
+{
+    std::vector<uint8_t> buf(store.peek(id).bytesForScans(from));
+    return store.fetchScanRange(id, from, to, buf, charge_full);
+}
+
 TEST(ObjectStore, PutAndContains)
 {
     ObjectStore store;
@@ -55,7 +68,7 @@ TEST(ObjectStore, ReadChargesPrefixBytes)
     ObjectStore store;
     const EncodedImage enc = encodeTest(3);
     store.put(1, enc);
-    store.readScans(1, 2);
+    fetchRange(store, 1, 0, 2);
     EXPECT_EQ(store.stats().requests, 1u);
     EXPECT_EQ(store.stats().bytes_read, enc.bytesForScans(2));
     EXPECT_EQ(store.stats().bytes_full, enc.totalBytes());
@@ -66,8 +79,8 @@ TEST(ObjectStore, IncrementalReadChargesOnlyDelta)
     ObjectStore store;
     const EncodedImage enc = encodeTest(4);
     store.put(1, enc);
-    store.readScans(1, 2);
-    store.readAdditionalScans(1, 2, 4);
+    fetchRange(store, 1, 0, 2);
+    fetchRange(store, 1, 2, 4, /*charge_full=*/false);
     EXPECT_EQ(store.stats().bytes_read, enc.bytesForScans(4));
     // The full-read denominator counted once per logical request.
     EXPECT_EQ(store.stats().bytes_full, enc.totalBytes());
@@ -81,25 +94,9 @@ TEST(ObjectStore, ZeroPrefixIncrementalReadDoesNotDoubleChargeFull)
     ObjectStore store;
     const EncodedImage enc = encodeTest(5);
     store.put(1, enc);
-    store.readScans(1, 0);
-    store.readAdditionalScans(1, 0, 1);
+    fetchRange(store, 1, 0, 0);
+    fetchRange(store, 1, 0, 1, /*charge_full=*/false);
     EXPECT_EQ(store.stats().bytes_read, enc.bytesForScans(1));
-    EXPECT_EQ(store.stats().bytes_full, enc.totalBytes());
-}
-
-TEST(ObjectStore, RangedByteReadsMeterWithoutDecoding)
-{
-    // The staged-engine fetch path: readScanRangeBytes charges the
-    // incremental bytes and charges the denominator only on the
-    // prefix-starting (from == 0) fetch.
-    ObjectStore store;
-    const EncodedImage enc = encodeTest(6);
-    store.put(1, enc);
-    EXPECT_EQ(store.readScanRangeBytes(1, 0, 2), enc.bytesForScans(2));
-    EXPECT_EQ(store.readScanRangeBytes(1, 2, 4),
-              enc.bytesForScans(4) - enc.bytesForScans(2));
-    EXPECT_EQ(store.stats().requests, 2u);
-    EXPECT_EQ(store.stats().bytes_read, enc.bytesForScans(4));
     EXPECT_EQ(store.stats().bytes_full, enc.totalBytes());
 }
 
@@ -107,7 +104,7 @@ TEST(ObjectStore, SavingsComputed)
 {
     ObjectStore store;
     store.put(1, encodeTest(5));
-    store.readScans(1, 1);
+    fetchRange(store, 1, 0, 1);
     const ReadStats &s = store.stats();
     EXPECT_GT(s.savings(), 0.0);
     EXPECT_LT(s.savings(), 1.0);
@@ -118,7 +115,7 @@ TEST(ObjectStore, ResetStatsKeepsObjects)
 {
     ObjectStore store;
     store.put(1, encodeTest(6));
-    store.readScans(1, 1);
+    fetchRange(store, 1, 0, 1);
     store.resetStats();
     EXPECT_EQ(store.stats().requests, 0u);
     EXPECT_TRUE(store.contains(1));
@@ -129,7 +126,9 @@ TEST(ObjectStore, DecodedPreviewMatchesDirectDecode)
     ObjectStore store;
     const EncodedImage enc = encodeTest(7);
     store.put(9, enc);
-    const Image via_store = store.readScans(9, 3);
+    EncodedImage delivery = enc.headerCopy();
+    store.fetchScanRange(9, 0, 3, delivery.bytes);
+    const Image via_store = decodeProgressive(delivery, 3);
     const Image direct = decodeProgressive(enc, 3);
     ASSERT_EQ(via_store.numel(), direct.numel());
     for (size_t i = 0; i < direct.numel(); ++i)
@@ -141,8 +140,9 @@ TEST(ObjectStoreError, MissingObjectThrowsNotFound)
     // A missing id is a request error the serving tier maps to a
     // per-request failure — a typed throw, never a process abort.
     ObjectStore store;
+    std::vector<uint8_t> buf;
     try {
-        store.readScans(404, 1);
+        store.fetchScanRange(404, 0, 1, buf);
         FAIL() << "expected Error{NotFound}";
     } catch (const Error &e) {
         EXPECT_EQ(e.kind(), ErrorKind::NotFound);
@@ -150,25 +150,24 @@ TEST(ObjectStoreError, MissingObjectThrowsNotFound)
                   std::string::npos);
     }
     EXPECT_THROW(store.peek(404), Error);
-    std::vector<uint8_t> buf;
-    EXPECT_THROW(store.fetchScanRange(404, 0, 1, buf), Error);
     // The store stays fully usable after a failed lookup.
     store.put(404, encodeTest(9));
-    EXPECT_NO_THROW(store.readScans(404, 1));
+    EXPECT_NO_THROW(fetchRange(store, 404, 0, 1));
 }
 
 TEST(ObjectStoreDeath, BadIncrementalRange)
 {
     ObjectStore store;
-    store.put(1, encodeTest(8));
-    EXPECT_DEATH(store.readAdditionalScans(1, 3, 2), "scan range");
+    const EncodedImage enc = encodeTest(8);
+    store.put(1, enc);
+    std::vector<uint8_t> buf(enc.bytesForScans(3));
+    EXPECT_DEATH(store.fetchScanRange(1, 3, 2, buf), "scan range");
 }
 
 TEST(ObjectStore, FetchScanRangeDeliversAndMetersBytes)
 {
     // The byte-delivering path the staged engine decodes from: the
-    // appended bytes are the exact payload range, and the metering
-    // matches readScanRangeBytes.
+    // appended bytes are the exact payload range, metered as such.
     ObjectStore store;
     const EncodedImage enc = encodeTest(10);
     store.put(1, enc);
@@ -179,6 +178,7 @@ TEST(ObjectStore, FetchScanRangeDeliversAndMetersBytes)
               enc.bytesForScans(4) - enc.bytesForScans(2));
     EXPECT_EQ(buf.size(), enc.bytesForScans(4));
     EXPECT_EQ(std::memcmp(buf.data(), enc.bytes.data(), buf.size()), 0);
+    EXPECT_EQ(store.stats().requests, 2u);
     EXPECT_EQ(store.stats().bytes_read, enc.bytesForScans(4));
     EXPECT_EQ(store.stats().bytes_full, enc.totalBytes());
 }
@@ -630,7 +630,7 @@ TEST(Breaker, ComposesAndPassesThroughWhenClosed)
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.storedBytes(), enc.totalBytes());
     EXPECT_EQ(store.peek(1).totalBytes(), enc.totalBytes());
-    EXPECT_EQ(store.readScanRangeBytes(1, 0, 1), enc.bytesForScans(1));
+    EXPECT_EQ(fetchRange(store, 1, 0, 1), enc.bytesForScans(1));
 
     std::vector<uint8_t> buf;
     for (int i = 0; i < 3; ++i) {
@@ -716,48 +716,6 @@ TEST(Breaker, ConcurrentFailFastConservesCounters)
     EXPECT_EQ(s.faults_transient + s.breaker_fast_fails,
               static_cast<uint64_t>(kThreads) * kIters);
     EXPECT_GT(s.breaker_fast_fails, 0u);
-}
-
-TEST(FaultInjection, ConvenienceReadsRouteThroughTheFaultPath)
-{
-    // The unified read API: readScans & co. are non-virtual wrappers
-    // whose physical transfer goes through fetchScanRange — the ONE
-    // virtual primitive — so injected faults perturb EVERY read entry
-    // point, and the wrapper decodes the DELIVERED bytes, not the
-    // store's pristine object.
-    ObjectStore base;
-    const EncodedImage enc = encodeTest(26);
-    base.put(1, enc);
-    FaultPolicy policy;
-    policy.script = [](const FaultContext &ctx) {
-        FaultDecision d;
-        if (ctx.attempt == 0)
-            d.fail = true;
-        else if (ctx.attempt == 1)
-            d.deliver_bytes = ctx.range_bytes / 2;
-        return d;
-    };
-    FaultyObjectStore store(base, policy);
-
-    try {
-        store.readScans(1, 2);
-        FAIL() << "expected Error{Transient}";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Transient);
-    }
-    try {
-        store.readScans(1, 2);
-        FAIL() << "expected Error{Truncated}";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Truncated)
-            << "a short delivery must fail the wrapper's decode";
-    }
-    const Image img = store.readScans(1, 2);
-    const Image want = decodeProgressive(enc, 2);
-    ASSERT_EQ(img.numel(), want.numel());
-    EXPECT_EQ(std::memcmp(img.data(), want.data(),
-                          sizeof(float) * want.numel()),
-              0);
 }
 
 /** Snapshot of @p enc's decoder state after @p depth scans. */

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the util module: Rng, Timer, TablePrinter, ThreadPool,
- * env helpers, CancelToken, Watchdog.
+ * Unit tests for the util module: Rng, Timer, the percentile rule
+ * (sampleQuantile, QuantileWindow), TablePrinter, ThreadPool, env
+ * helpers, CancelToken, Watchdog.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -22,6 +24,7 @@
 #include "util/thread_pool.hh"
 #include "util/timer.hh"
 #include "util/watchdog.hh"
+#include "util/windowed.hh"
 
 namespace tamres {
 namespace {
@@ -125,6 +128,97 @@ TEST(Timer, MedianRunSeconds)
     const double m = medianRunSeconds([&] { ++calls; }, 3);
     EXPECT_EQ(calls, 4); // 1 warmup + 3 timed
     EXPECT_GE(m, 0.0);
+}
+
+/** @p n distinct samples in a seeded shuffled order. */
+std::vector<double>
+shuffledSamples(int n, uint64_t seed)
+{
+    std::vector<double> v(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        v[static_cast<size_t>(i)] = 0.5 + 3.0 * i;
+    Rng rng(seed);
+    for (int i = n - 1; i > 0; --i)
+        std::swap(v[static_cast<size_t>(i)],
+                  v[static_cast<size_t>(rng.uniformInt(0, i))]);
+    return v;
+}
+
+TEST(Quantile, EmptyIsZeroAndSingletonIsItsSample)
+{
+    std::vector<double> empty;
+    EXPECT_EQ(sampleQuantile(empty, 0.5), 0.0);
+    EXPECT_EQ(QuantileWindow(8).quantile(0.99), 0.0);
+    for (double q : {0.0, 0.5, 0.99, 1.0}) {
+        std::vector<double> one{7.25};
+        EXPECT_EQ(sampleQuantile(one, q), 7.25);
+    }
+}
+
+TEST(Quantile, MedianIsElementNOverTwo)
+{
+    // round(0.5 * (n - 1)) == n / 2 for every n: the old n / 2
+    // medians are unchanged.
+    for (int n = 1; n <= 8; ++n) {
+        std::vector<double> v = shuffledSamples(n, 100 + n);
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sampleQuantile(v, 0.5), sorted[sorted.size() / 2])
+            << "n = " << n;
+    }
+}
+
+TEST(Quantile, P99MatchesTheChaosBenchRule)
+{
+    // The chaos benches' former rule, at their CI request counts.
+    for (int n : {32, 48, 64, 192}) {
+        std::vector<double> v = shuffledSamples(n, 200 + n);
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        const size_t old_idx =
+            std::min(sorted.size() - 1,
+                     static_cast<size_t>(0.99 * (sorted.size() - 1) +
+                                         0.5));
+        EXPECT_EQ(sampleQuantile(v, 0.99), sorted[old_idx])
+            << "n = " << n;
+    }
+}
+
+TEST(Quantile, EndpointsAreMinAndMax)
+{
+    const std::vector<double> base = shuffledSamples(37, 300);
+    const double lo = *std::min_element(base.begin(), base.end());
+    const double hi = *std::max_element(base.begin(), base.end());
+    std::vector<double> v = base;
+    EXPECT_EQ(sampleQuantile(v, 0.0), lo);
+    v = base;
+    EXPECT_EQ(sampleQuantile(v, 1.0), hi);
+    // Out-of-range q clamps to the ends.
+    v = base;
+    EXPECT_EQ(sampleQuantile(v, -0.5), lo);
+    v = base;
+    EXPECT_EQ(sampleQuantile(v, 1.5), hi);
+}
+
+TEST(Quantile, WindowAnswersFromTheLastCapacitySamples)
+{
+    QuantileWindow w(4);
+    for (double x : {100.0, 200.0, 1.0, 2.0, 3.0, 4.0})
+        w.record(x);
+    EXPECT_EQ(w.count(), 4);
+    EXPECT_EQ(w.quantile(0.0), 1.0);
+    EXPECT_EQ(w.quantile(1.0), 4.0);
+    EXPECT_EQ(w.quantile(0.5), 3.0);
+    w.reset();
+    EXPECT_EQ(w.count(), 0);
+    EXPECT_EQ(w.quantile(0.5), 0.0);
+
+    // The hedge delay's rank: 0.95 of a full 64-sample window is the
+    // element of rank round(0.95 * 63) = 60.
+    QuantileWindow hedge(64);
+    for (int i = 63; i >= 0; --i)
+        hedge.record(i);
+    EXPECT_EQ(hedge.quantile(0.95), 60.0);
 }
 
 TEST(TablePrinter, RendersHeaderAndRows)
