@@ -1,16 +1,14 @@
 /**
  * @file
  * Dynamic batching on the REAL serving engine (extends the Section
- * VIII-a load study from simulation to measurement). Stage 1 measures
+ * VIII-a load study to batch formation). Stage 1 measures
  * batched planned inference latency — merged-column batch GEMMs
  * remove per-image micro-tile padding and re-stream weight panels
  * once per batch, so per-item cost falls with batch size even on one
  * core, and batched plans replay shared prepacked weights. Stage 2
  * drives the multi-worker ServingEngine closed-loop against a serial
- * batch-1 runInto() baseline and sweeps max_batch. Stage 3 feeds the
- * measured batch curve back into the analytic batched-queue
- * simulation as a cross-check. Emits BENCH_engine.json (fields
- * documented in bench/bench_common.hh).
+ * batch-1 runInto() baseline and sweeps max_batch. Emits
+ * BENCH_engine.json (fields documented in bench/bench_common.hh).
  */
 
 #include <atomic>
@@ -20,7 +18,6 @@
 
 #include "bench/bench_common.hh"
 #include "core/engine.hh"
-#include "core/serving.hh"
 #include "nn/passes.hh"
 #include "util/thread_pool.hh"
 #include "util/windowed.hh"
@@ -167,43 +164,6 @@ main()
     }
     eng.print();
 
-    // ---- Stage 3: analytic cross-check ----------------------------
-    //
-    // Fit the amortizable fraction phi from the measured curve
-    // (service(b) = base * ((1 - phi) * b + phi)) and replay the
-    // batched-queue simulation with it: the simulated capacity gain
-    // should bracket what the engine measured.
-    const double t1 = batch_lat[0];
-    const double t8 = batch_lat.back();
-    const double phi = std::max(0.0, (8.0 - t8 / t1) / 7.0);
-    TablePrinter sim("analytic cross-check: simulated p99 ms / mean "
-                     "batch at measured phi=" +
-                     TablePrinter::num(phi, 2));
-    sim.setHeader({"load (x cap1)", "max_batch 1", "max_batch 8"});
-    for (const double load : {0.9, 1.3}) {
-        std::vector<std::string> row{TablePrinter::num(load, 1)};
-        for (const int mb : {1, 8}) {
-            BatchedConfig scfg;
-            scfg.base.arrival_rate_hz = load / t1;
-            scfg.base.num_requests = 4000;
-            scfg.base.seed = 31;
-            scfg.max_batch = mb;
-            scfg.linger_s = 0.004;
-            const auto sreqs = simulateServingBatched(
-                scfg, [&](int, int batch, int) {
-                    const double s =
-                        t1 * ((1.0 - phi) * batch + phi);
-                    return std::pair{kRes, s};
-                });
-            const ServingStats st = ServingStats::fromRequests(sreqs);
-            row.push_back(TablePrinter::num(st.p99_latency_s * 1e3, 0) +
-                          " / " +
-                          TablePrinter::num(st.mean_batch, 1));
-        }
-        sim.addRow(row);
-    }
-    sim.print();
-
     // ---- BENCH_engine.json ----------------------------------------
     FILE *f = std::fopen("BENCH_engine.json", "w");
     if (!f) {
@@ -235,9 +195,8 @@ main()
         if (engine_batches[ei] > 1)
             best_batched = std::max(best_batched, engine_rps[ei]);
     }
-    std::fprintf(f, "  ],\n  \"engine_batched_vs_serial\": %.4f,\n",
+    std::fprintf(f, "  ],\n  \"engine_batched_vs_serial\": %.4f\n}\n",
                  best_batched / serial_rps);
-    std::fprintf(f, "  \"sim_phi\": %.4f\n}\n", phi);
     std::fclose(f);
     std::printf("\nwrote BENCH_engine.json (engine batched vs serial: "
                 "%.2fx at %d worker(s))\n",

@@ -33,9 +33,6 @@
  *   engine_batched_vs_serial best batched engine rate / serial_rps —
  *                            the headline "real engine beats serial
  *                            batch-1" ratio the CI gate watches
- *   sim_phi                  amortizable-cost fraction fitted from
- *                            the measured batch curve, fed back into
- *                            the analytic cross-check simulation
  *
  * BENCH_faults.json (written by bench/fault_tolerance, gated by
  * tools/bench_gate.py with a wider built-in margin — chaos legs

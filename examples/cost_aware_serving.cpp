@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "core/pipeline.hh"
-#include "core/serving.hh"
 #include "storage/cost.hh"
 
 using namespace tamres;
@@ -83,16 +82,8 @@ main()
                 backbone_s * 1e3, scale_s * 1e3,
                 1.0 / (backbone_s + scale_s), 1.0 / backbone_s);
 
-    ServingConfig scfg;
-    scfg.arrival_rate_hz = 0.95 / backbone_s;
-    scfg.num_requests = 2000;
-    const auto pipe = simulateServingPipelined(scfg, [&](int, int) {
-        return StagedService{224, scale_s, backbone_s};
-    });
-    const auto stats = ServingStats::fromRequests(pipe);
-    std::printf("  at %.2f req/s pipelined: mean %.0f ms, p99 %.0f "
-                "ms\n", scfg.arrival_rate_hz,
-                stats.mean_latency_s * 1e3, stats.p99_latency_s * 1e3);
+    // The traffic step 3 prices: 95% of the pipelined capacity.
+    const double arrival_hz = 0.95 / backbone_s;
 
     // 3. The monthly bill at that traffic, full reads vs the ~25%
     //    savings a calibrated dynamic policy measures on this profile.
@@ -100,17 +91,17 @@ main()
     w.corpus_images = 500000;
     w.mean_image_bytes = 150000;
     w.reads_per_month = static_cast<int64_t>(
-        scfg.arrival_rate_hz * 3600 * 24 * 30);
+        arrival_hz * 3600 * 24 * 30);
     const MonthlyCost full = monthlyCost(w);
     w.mean_read_fraction = 0.75;
     w.extra_requests_per_read = 0.5;
     const MonthlyCost dyn = monthlyCost(w);
-    std::printf("\nmonthly bill at this traffic:\n"
+    std::printf("\nmonthly bill at %.2f req/s:\n"
                 "  full reads    $%.0f (storage $%.0f, egress $%.0f)\n"
                 "  dynamic reads $%.0f (storage $%.0f, egress $%.0f)\n"
                 "  saved         $%.0f/month\n",
-                full.total(), full.storage_usd, full.egress_usd,
-                dyn.total(), dyn.storage_usd, dyn.egress_usd,
-                full.total() - dyn.total());
+                arrival_hz, full.total(), full.storage_usd,
+                full.egress_usd, dyn.total(), dyn.storage_usd,
+                dyn.egress_usd, full.total() - dyn.total());
     return 0;
 }

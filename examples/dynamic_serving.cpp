@@ -1,7 +1,7 @@
 /**
  * @file
- * Serving simulation (paper Section VIII-a): a request stream served
- * by the staged engine, with a mid-run load burst handled by
+ * Dynamic-resolution serving (paper Section VIII-a): a request stream
+ * served by the staged engine, with a mid-run load burst handled by
  * shrinking the crop — the scale model automatically compensates by
  * lowering chosen resolutions, cutting average compute cost without a
  * model swap. The crop is an engine setting, so one decision-only

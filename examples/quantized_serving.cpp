@@ -4,18 +4,22 @@
  *   1. build ResNet-18, fold batch norms and fuse ReLUs,
  *   2. calibrate and rewrite it to int8 (nn/quant),
  *   3. measure fp32 vs int8 latency at two resolutions,
- *   4. serve a bursty request stream through the batched queueing
- *      simulation with the measured costs, comparing a static-
- *      resolution endpoint against one that sheds to the lower
- *      resolution when the queue grows (the paper's Section VIII-a
- *      load-adaptation story, with quantization underneath).
+ *   4. serve the same 224 px burst of int8 requests through the real
+ *      ServingEngine twice, once at a static resolution and once with
+ *      a ladder that sheds to 112 when the queue grows (the paper's
+ *      Section VIII-a load-adaptation story, with quantization
+ *      underneath).
+ *
+ * Exits 1 when a burst's terminal states do not account for every
+ * request, or when the shedding endpoint serves nothing at 112.
  *
  * Build & run:  ./build/examples/quantized_serving
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "core/serving.hh"
+#include "core/engine.hh"
 #include "nn/builders.hh"
 #include "nn/passes.hh"
 #include "nn/quant.hh"
@@ -34,6 +38,52 @@ latencyAt(Graph &g, int res)
     Rng rng(res);
     fillUniform(in, rng, 0.0f, 1.0f);
     return medianRunSeconds([&] { g.run(in); }, 3);
+}
+
+constexpr int kRes = 224;
+constexpr int kShedRes = 112;
+constexpr int kBurst = 32;
+
+struct BurstResult
+{
+    EngineStats stats;
+    int at_shed_res = 0; //!< requests served at kShedRes
+};
+
+/**
+ * Submit kBurst int8 requests at kRes back to back into a one-worker
+ * engine over @p fp32 (with @p int8 as its quantized tier) and wait
+ * for all of them.
+ */
+BurstResult
+serveBurst(Graph &fp32, Graph &int8, const QualityLadder &ladder,
+           const Tensor &item)
+{
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.max_batch = 4;
+    cfg.quant_graph = &int8;
+    cfg.ladder = ladder;
+    cfg.warm_shapes = {{1, 3, kRes, kRes}, {4, 3, kRes, kRes},
+                       {1, 3, kShedRes, kShedRes},
+                       {4, 3, kShedRes, kShedRes}};
+    ServingEngine engine(fp32, cfg);
+
+    std::vector<InferenceRequest> reqs(kBurst);
+    for (auto &r : reqs) {
+        r.input = item;
+        r.want_int8 = true;
+        engine.submit(r); // a refusal is counted in shed_admission
+    }
+    BurstResult res;
+    for (auto &r : reqs) {
+        engine.wait(r);
+        if (r.stateNow() == RequestState::Done &&
+            r.resolution == kShedRes)
+            ++res.at_shed_res;
+    }
+    res.stats = engine.stats();
+    return res;
 }
 
 } // namespace
@@ -58,53 +108,48 @@ main()
 
     // 3. Measured latencies.
     std::printf("%-10s %-12s %-12s\n", "res", "fp32 ms", "int8 ms");
-    double int8_hi = 0.0, int8_lo = 0.0;
-    for (const int res : {224, 112}) {
+    for (const int res : {kRes, kShedRes}) {
         const double f = latencyAt(*fp32, res);
         const double q = latencyAt(*int8, res);
-        if (res == 224)
-            int8_hi = q;
-        else
-            int8_lo = q;
         std::printf("%-10d %-12.1f %-12.1f\n", res, f * 1e3, q * 1e3);
     }
 
-    // 4. Bursty load through the batched simulator: offered load sits
-    //    above the 224-only capacity; the shedding policy drops to 112
-    //    when more than four requests wait.
-    BatchedConfig cfg;
-    cfg.base.arrival_rate_hz = 1.3 / int8_hi;
-    cfg.base.num_requests = 2000;
-    cfg.base.seed = 9;
-    cfg.max_batch = 4;
-    cfg.linger_s = 0.002;
+    // 4. The same burst through the engine, static vs shedding: with
+    //    more than four requests waiting, the ladder serves the batch
+    //    at 112.
+    Tensor item({1, 3, kRes, kRes});
+    Rng item_rng(9);
+    fillUniform(item, item_rng, 0.0f, 1.0f);
 
-    const auto static_reqs = simulateServingBatched(
-        cfg, [&](int, int batch, int) {
-            return std::pair{224, int8_hi * batch};
-        });
-    const auto shed_reqs = simulateServingBatched(
-        cfg, [&](int, int batch, int depth) {
-            const bool shed = depth > 4;
-            return std::pair{shed ? 112 : 224,
-                             (shed ? int8_lo : int8_hi) * batch};
-        });
-
-    const ServingStats s_static = ServingStats::fromRequests(static_reqs);
-    const ServingStats s_shed = ServingStats::fromRequests(shed_reqs);
-    int shed_count = 0;
-    for (const auto &r : shed_reqs)
-        shed_count += r.resolution == 112;
-
-    std::printf("\nendpoint at 1.3x the 224-only capacity:\n");
-    std::printf("  static 224 : p99 %7.0f ms, mean queue %6.2f s\n",
-                s_static.p99_latency_s * 1e3, s_static.mean_queueing_s);
-    std::printf("  shed to 112: p99 %7.0f ms, mean queue %6.2f s "
-                "(%d/%d requests shed)\n",
-                s_shed.p99_latency_s * 1e3, s_shed.mean_queueing_s,
-                shed_count, cfg.base.num_requests);
-    std::printf("\nthe queue-aware policy absorbs the burst by paying "
+    std::printf("\n%d-request int8 burst at %d, one worker, batches "
+                "of up to 4:\n", kBurst, kRes);
+    bool ok = true;
+    for (const bool shed : {false, true}) {
+        const BurstResult b = serveBurst(
+            *fp32, *int8,
+            shed ? resolutionShedLadder(4, kShedRes) : QualityLadder{},
+            item);
+        const EngineStats &st = b.stats;
+        std::printf("  %-12s p99 %6.0f ms, %d/%d served at %d\n",
+                    shed ? "shed to 112:" : "static 224:",
+                    st.p99_latency_s * 1e3, b.at_shed_res, kBurst,
+                    kShedRes);
+        const uint64_t terminals =
+            st.served + st.shed_admission + st.expired + st.failed;
+        if (terminals != kBurst) {
+            std::fprintf(stderr, "terminals %llu != burst %d\n",
+                         static_cast<unsigned long long>(terminals),
+                         kBurst);
+            ok = false;
+        }
+        if (shed && b.at_shed_res == 0) {
+            std::fprintf(stderr, "the shedding endpoint served no "
+                                 "request at %d\n", kShedRes);
+            ok = false;
+        }
+    }
+    std::printf("\nthe queue-aware ladder absorbs the burst by paying "
                 "resolution, not latency — and the scale model keeps "
                 "object scales matched at 112 (Section VIII-a).\n");
-    return 0;
+    return ok ? 0 : 1;
 }

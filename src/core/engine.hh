@@ -1,7 +1,7 @@
 /**
  * @file
- * ServingEngine: the measured, concurrent counterpart of the serving
- * simulations in core/serving.hh (paper Section VIII-a).
+ * ServingEngine: the measured, concurrent inference endpoint of the
+ * paper's Section VIII-a serving study.
  *
  * A fixed set of worker threads serves a bounded MPMC request queue
  * with dynamic batching: a worker takes up to max_batch same-shaped

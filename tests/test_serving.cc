@@ -1,17 +1,17 @@
 /**
  * @file
- * Tests for graph passes (batch-norm folding), cost-aware resolution
- * selection, and the discrete-event serving simulator.
+ * Tests for graph passes (batch-norm folding) and cost-aware
+ * resolution selection.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
-#include "core/serving.hh"
 #include "nn/ops.hh"
 #include "nn/passes.hh"
 #include "nn/quant.hh"
 #include "tensor/tensor_ops.hh"
+#include "util/rng.hh"
 
 namespace tamres {
 namespace {
@@ -263,90 +263,6 @@ TEST(CostAware, LargeLambdaPicksCheapest)
                                                        costs),
                   0);
     }
-}
-
-TEST(Serving, DeterministicForSeed)
-{
-    ServingConfig cfg{.arrival_rate_hz = 10, .num_requests = 100,
-                      .seed = 5};
-    auto policy = [](int, int) { return std::make_pair(224, 0.05); };
-    const auto a = simulateServing(cfg, policy);
-    const auto b = simulateServing(cfg, policy);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_DOUBLE_EQ(a[i].finish_s, b[i].finish_s);
-}
-
-TEST(Serving, FifoInvariants)
-{
-    ServingConfig cfg{.arrival_rate_hz = 20, .num_requests = 200,
-                      .seed = 9};
-    auto policy = [](int, int) { return std::make_pair(224, 0.03); };
-    const auto reqs = simulateServing(cfg, policy);
-    double prev_finish = 0.0;
-    double prev_arrival = 0.0;
-    for (const auto &r : reqs) {
-        EXPECT_GE(r.arrival_s, prev_arrival);   // arrivals ordered
-        EXPECT_GE(r.start_s, r.arrival_s);      // no time travel
-        EXPECT_GE(r.start_s, prev_finish);      // single server
-        EXPECT_GT(r.finish_s, r.start_s);
-        prev_finish = r.finish_s;
-        prev_arrival = r.arrival_s;
-    }
-}
-
-TEST(Serving, StatsSaneUnderLightLoad)
-{
-    // Service much faster than arrivals: no queueing.
-    ServingConfig cfg{.arrival_rate_hz = 1, .num_requests = 300,
-                      .seed = 2};
-    auto policy = [](int, int) { return std::make_pair(112, 0.001); };
-    const auto stats =
-        ServingStats::fromRequests(simulateServing(cfg, policy));
-    EXPECT_NEAR(stats.mean_latency_s, 0.001, 1e-4);
-    EXPECT_LT(stats.mean_queueing_s, 1e-4);
-    EXPECT_LT(stats.utilization, 0.05);
-}
-
-TEST(Serving, OverloadGrowsQueueing)
-{
-    // Service slower than arrivals: queueing must dominate latency.
-    ServingConfig cfg{.arrival_rate_hz = 20, .num_requests = 300,
-                      .seed = 2};
-    auto policy = [](int, int) { return std::make_pair(448, 0.1); };
-    const auto stats =
-        ServingStats::fromRequests(simulateServing(cfg, policy));
-    EXPECT_GT(stats.mean_queueing_s, 1.0);
-    EXPECT_GT(stats.utilization, 0.95);
-}
-
-TEST(Serving, LoadSheddingBoundsLatency)
-{
-    // The Section VIII-a mechanism: a load-aware dynamic policy drops
-    // to a cheap resolution when the queue builds, bounding p99 vs. a
-    // static policy at the expensive resolution.
-    ServingConfig cfg{.arrival_rate_hz = 15, .num_requests = 500,
-                      .seed = 7};
-    auto static_policy = [](int, int) {
-        return std::make_pair(336, 0.08);
-    };
-    auto shedding_policy = [](int, int depth) {
-        return depth > 3 ? std::make_pair(112, 0.012)
-                         : std::make_pair(336, 0.08);
-    };
-    const auto s_static =
-        ServingStats::fromRequests(simulateServing(cfg, static_policy));
-    const auto s_shed = ServingStats::fromRequests(
-        simulateServing(cfg, shedding_policy));
-    EXPECT_LT(s_shed.p99_latency_s, s_static.p99_latency_s * 0.5);
-}
-
-TEST(ServingDeath, BadConfig)
-{
-    ServingConfig cfg{.arrival_rate_hz = 0, .num_requests = 1};
-    EXPECT_DEATH(simulateServing(
-                     cfg, [](int, int) { return std::make_pair(1, 0.0); }),
-                 "positive");
 }
 
 } // namespace

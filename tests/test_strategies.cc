@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -316,14 +317,19 @@ TEST(CostModel, RankingCorrelatesWithMeasurementOnSmallShape)
         configs.push_back(randomConvConfig(p, rng));
     const std::vector<int> order = rankByPredictedCost(p, configs);
 
-    double best_measured = 1e30, top_pick_measured = 0.0;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        const double t = measureConv(p, configs[i], 2).seconds;
-        best_measured = std::min(best_measured, t);
-        if (static_cast<int>(i) == order[0])
-            top_pick_measured = t;
+    // Time the configs round-robin and keep each one's fastest run:
+    // a load spike then lands on every config alike instead of
+    // deciding the comparison for the one it happened to hit.
+    constexpr int kRounds = 5;
+    std::vector<double> fastest(configs.size(), 1e30);
+    for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < configs.size(); ++i)
+            fastest[i] = std::min(fastest[i],
+                                  measureConv(p, configs[i], 1).seconds);
     }
-    EXPECT_LT(top_pick_measured, 6.0 * best_measured);
+    const double best_measured =
+        *std::min_element(fastest.begin(), fastest.end());
+    EXPECT_LT(fastest[order[0]], 6.0 * best_measured);
 }
 
 // --- Transfer seeds ---
