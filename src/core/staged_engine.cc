@@ -403,7 +403,8 @@ StagedServingEngine::onWatchdogFlag(const WatchdogReport &report)
 void
 StagedServingEngine::fetchStage(StagedRequest &req, ScanRead &read,
                                 EncodedImage &delivery,
-                                ProgressiveDecoder &dec, int target)
+                                ProgressiveDecoder &dec, int target,
+                                int read_to)
 {
     FetchReport rep;
     auto meter = [&] {
@@ -420,7 +421,7 @@ StagedServingEngine::fetchStage(StagedRequest &req, ScanRead &read,
         stats_.reads_abandoned += static_cast<uint64_t>(rep.abandoned);
     };
     try {
-        fetcher_.fetch(read, delivery, dec, target, rep);
+        fetcher_.fetch(read, delivery, dec, target, read_to, rep);
     } catch (...) {
         meter();
         throw;
@@ -487,6 +488,20 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     // mid-flight.
     const QualityTier &tier = ladder_.select(depth);
 
+    // Total scans a decision at grid index r needs: the policy's
+    // depth, never below the preview, capped by the tier. Stage 1
+    // reads up to its minimum over the grid and stage 4 up to its
+    // value at the decision, so one rule keeps stage 1 from reading a
+    // byte the decision will not use.
+    auto depthFor = [&](int r) {
+        int d = cfg_.scan_depth ? cfg_.scan_depth(req.id, r) : num_scans;
+        d = std::clamp(d, kprev, num_scans);
+        // The scan cap never cuts below the decoded preview.
+        if (tier.scan_cap > 0)
+            d = std::min(d, std::max(tier.scan_cap, kprev));
+        return d;
+    };
+
     try {
         if (cfg_.fixed_resolution > 0) {
             // Static mode: no preview fetch, no scale model — the
@@ -499,14 +514,18 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
             }
         } else {
             // Stage 1: ranged read + partial decode of the preview
-            // scans. A calibrated policy may demand ZERO preview
-            // scans (the threshold is already met by the mid-gray
-            // reconstruction); then nothing is fetched and the scale
-            // model sees the same 0-scan preview the inline pipeline
-            // would. A preview shortfall after retries is NON-fatal:
-            // the scale model sees whatever prefix decoded (possibly
-            // mid-gray), and the stage-4 fetch below still tries to
-            // recover the gap.
+            // scans. The read is coalesced up to the decision floor —
+            // the fewest scans any decision reads — so a decision
+            // that needs only the floor costs one round trip; it
+            // still DECODES only the preview, so the decision is that
+            // of the preview alone. A calibrated policy may demand
+            // ZERO preview scans (the threshold is already met by the
+            // mid-gray reconstruction); then nothing is fetched and
+            // the scale model sees the same 0-scan preview the inline
+            // pipeline would. A preview shortfall after retries is
+            // NON-fatal: the scale model sees whatever prefix decoded
+            // (possibly mid-gray), and the stage-4 fetch below still
+            // tries to recover the gap.
             kprev = cfg_.preview_depth
                         ? cfg_.preview_depth(req.id)
                         : cfg_.preview_scans;
@@ -537,7 +556,11 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
                     std::lock_guard<std::mutex> lock(mu_);
                     ++stats_.cache_misses;
                 }
-                fetchStage(req, read, delivery, dec, kprev);
+                int floor = num_scans;
+                for (size_t r = 0; r < grid.size(); ++r)
+                    floor = std::min(floor,
+                                     depthFor(static_cast<int>(r)));
+                fetchStage(req, read, delivery, dec, kprev, floor);
             }
             pollCancel();
             heartbeat(req, "scale-model");
@@ -586,32 +609,31 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
             }
         }
 
-        // Stage 4: ranged read + resumed decode of the remaining
-        // scans the decision needs. The decoder continues from the
-        // preview state — no scan is decoded twice. When the fetcher
-        // gives up the request is served DEGRADED at the scan depth
-        // already decoded.
+        // Stage 4: resumed decode of the remaining scans the decision
+        // needs. The decoder continues from the preview state — no
+        // scan is decoded twice — first through the scans stage 1
+        // read ahead, then through a ranged read of the rest, made
+        // only when the decision needs more than the floor. When the
+        // fetcher gives up the request is served DEGRADED at the scan
+        // depth already decoded.
         pollCancel();
         heartbeat(req, "resume-fetch");
-        total = cfg_.scan_depth ? cfg_.scan_depth(req.id, r_idx)
-                                : num_scans;
-        total = std::clamp(total, kprev, num_scans);
-        // The scan cap never cuts below the decoded preview.
-        if (tier.scan_cap > 0)
-            total = std::min(total, std::max(tier.scan_cap, kprev));
+        total = depthFor(r_idx);
         // Decode cache, stage 4: a cached prefix strictly deeper than
         // what this request holds (up to the target) lets the decoder
         // jump ahead and fetch only the missing range — the partial
         // hit charges only the delta. Same zero-filled placeholder
         // trick as stage 1.
         bool fetched_tail = false;
-        if (cfg_.cache && dec.scansDecoded() < total) {
-            const DecodeCache::EntryPtr deep = cfg_.cache->lookup(
-                req.id, dec.scansDecoded() + 1, total);
+        const int held = std::max(
+            dec.scansDecoded(), dec.scansCoveredBy(delivery.bytes.size()));
+        if (cfg_.cache && held < total) {
+            const DecodeCache::EntryPtr deep =
+                cfg_.cache->lookup(req.id, held + 1, total);
             if (deep) {
                 const uint64_t skipped = static_cast<uint64_t>(
                     delivery.scan_offsets[deep->depth] -
-                    delivery.scan_offsets[dec.scansDecoded()]);
+                    delivery.scan_offsets[held]);
                 delivery.bytes.assign(
                     delivery.scan_offsets[deep->depth], 0);
                 dec = ProgressiveDecoder(delivery, deep->snap);
@@ -623,12 +645,13 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
         }
         if (dec.scansDecoded() < total) {
             fetched_tail = true;
-            fetchStage(req, read, delivery, dec, total);
+            fetchStage(req, read, delivery, dec, total, total);
         }
         // Offer the full-depth prefix when this request paid a
-        // physical fetch to reach it. Snapshot-only (empty preview):
-        // decision-only serving never materializes these pixels, and
-        // a resuming hit re-derives them on demand.
+        // physical fetch to reach it, in either fetch stage.
+        // Snapshot-only (empty preview): decision-only serving never
+        // materializes these pixels, and a resuming hit re-derives
+        // them on demand.
         if (cfg_.cache && fetched_tail && total > 0 &&
             dec.scansDecoded() == total)
             cfg_.cache->insert(req.id, total, Image(), dec.snapshot());

@@ -6,18 +6,22 @@
  * A request enters as a stored object id — *encoded progressive
  * bytes* in an ObjectStore — and flows through the staged lifecycle:
  *
- *   1. partial decode:   a ranged read fetches the preview scans and
- *                        a resumable ProgressiveDecoder decodes them;
+ *   1. partial decode:   one ranged read fetches every scan ALL
+ *                        decisions need (the decision floor, at
+ *                        least the preview scans) and a resumable
+ *                        ProgressiveDecoder decodes only the preview
+ *                        scans; the rest stay held, undecoded;
  *   2. preview + scale:  the decoded preview (cropped + resized) runs
  *                        through the scale model;
  *   3. decision:         the scale model's resolution, capped by
  *                        the quality tier the request was formed at
  *                        (core/quality_ladder.hh) — under load the
  *                        decision stage itself sheds resolution;
- *   4. remaining decode: a second ranged read fetches exactly the
- *                        additional scans the chosen resolution
- *                        needs and the SAME decoder resumes — no
- *                        preview work is redone;
+ *   4. remaining decode: the SAME decoder resumes through the held
+ *                        scans, and a second ranged read fetches
+ *                        exactly the additional scans the chosen
+ *                        resolution needs — none when the floor
+ *                        covers them; no preview work is redone;
  *   5. batched backbone: the prepared input is submitted to an inner
  *                        ServingEngine, which batches same-shaped
  *                        requests dynamically and keeps the
@@ -132,7 +136,7 @@ struct StagedRequest
 
     int resolution = 0;       //!< decided square backbone resolution
     int resolution_index = 0; //!< index into engine resolutions()
-    int preview_scans = 0;    //!< scans fetched for the preview
+    int preview_scans = 0;    //!< scans decoded for the preview
     int scans_read = 0;       //!< total scans DECODED and served at
     int scans_intended = 0;   //!< scans the decision wanted
     size_t bytes_read = 0;    //!< total bytes fetched (both ranges)
@@ -202,7 +206,7 @@ struct OverloadConfig
 /** Staged engine construction parameters. */
 struct StagedEngineConfig
 {
-    int preview_scans = 2;   //!< default scans fetched for stage 1
+    int preview_scans = 2;   //!< default scans decoded for stage 1
     double crop_area = 1.0;  //!< center-crop fraction before resizing
     int decode_workers = 1;  //!< stage 1-4 worker threads
     int decode_batch = 4;    //!< requests a worker drains per wakeup
@@ -222,8 +226,9 @@ struct StagedEngineConfig
     /**
      * Total scans the chosen resolution needs for object @p id
      * (e.g. a calibrated storage policy); null reads every scan. The
-     * engine never reads fewer scans than the preview already
-     * fetched.
+     * engine never reads fewer scans than the preview decodes. Its
+     * minimum over the grid is the decision floor stage 1 reads up
+     * to, so it is called once per grid resolution per stage-1 read.
      */
     std::function<int(uint64_t id, int resolution_index)> scan_depth;
 
@@ -379,10 +384,13 @@ class StagedServingEngine
     void decodeLoop();
     void processOne(StagedRequest &req, int depth);
     void processOneImpl(StagedRequest &req, int depth);
-    /** One fetch stage; meters its report on every outcome. */
+    /**
+     * One fetch stage: decode to @p target, reading up to @p read_to
+     * (see ScanFetcher::fetch); meters its report on every outcome.
+     */
     void fetchStage(StagedRequest &req, ScanRead &read,
                     EncodedImage &delivery, ProgressiveDecoder &dec,
-                    int target);
+                    int target, int read_to);
     void markTerminal(StagedRequest &req, StagedState state);
     /** Heartbeat this worker's watchdog slot (no-op unsupervised). */
     void heartbeat(StagedRequest &req, const char *phase);

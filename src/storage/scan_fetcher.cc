@@ -101,17 +101,43 @@ ScanFetcher::stop()
 
 bool
 ScanFetcher::fetch(ScanRead &read, EncodedImage &delivery,
-                   ProgressiveDecoder &dec, int target,
+                   ProgressiveDecoder &dec, int target, int read_to,
                    FetchReport &report)
 {
+    read_to = std::max(read_to, target);
     const double stage_end_s =
         retry_.stage_timeout_s > 0.0
             ? clock_->now() + retry_.stage_timeout_s
             : std::numeric_limits<double>::infinity();
-    auto giveUp = [&report] {
+    auto giveUp = [&] {
+        // Leave only the clean prefix: whatever lies past it is a
+        // partial or damaged scan the next call must refetch.
+        delivery.bytes.resize(delivery.scan_offsets[dec.scansDecoded()]);
         ++report.giveups;
         return false;
     };
+    // Decode every whole scan the buffer holds, up to the target;
+    // false on a recoverable fault.
+    auto decodeHeld = [&] {
+        try {
+            dec.advanceTo(std::min(
+                dec.scansCoveredBy(delivery.bytes.size()), target));
+        } catch (const Error &e) {
+            // Decode: damage caught MID-SCAN after the checksum
+            // passed, coefficient state unspecified. Cancelled: the
+            // decoder's between-scan token check; the request is over.
+            if (e.kind() == ErrorKind::Decode ||
+                e.kind() == ErrorKind::Cancelled)
+                throw;
+            // Corrupt (checksum, verified BEFORE the scan decoded) and
+            // Truncated leave the decoder clean: trim and refetch.
+            ++report.faults;
+            return false;
+        }
+        return true;
+    };
+    // Bytes an earlier call read ahead cost no store read.
+    decodeHeld();
     for (int attempt = 0; dec.scansDecoded() < target; ++attempt) {
         if (read.heartbeat)
             read.heartbeat();
@@ -151,10 +177,10 @@ ScanFetcher::fetch(ScanRead &read, EncodedImage &delivery,
         delivery.bytes.resize(begin);
         try {
             if (pool_)
-                pooledFetch(read, from, target, delivery.bytes,
+                pooledFetch(read, from, read_to, delivery.bytes,
                             stage_end_s, report);
             else
-                store_->fetchScanRange(read.id, from, target,
+                store_->fetchScanRange(read.id, from, read_to,
                                        delivery.bytes,
                                        !read.charged_full, SIZE_MAX,
                                        read.cancel);
@@ -174,30 +200,18 @@ ScanFetcher::fetch(ScanRead &read, EncodedImage &delivery,
         report.bytes += delivery.bytes.size() - begin;
         if (from == 0)
             read.charged_full = true;
-        try {
-            dec.advanceWithBytes(delivery.bytes.size());
-        } catch (const Error &e) {
-            // Decode: damage caught MID-SCAN after the checksum
-            // passed, coefficient state unspecified. Cancelled: the
-            // decoder's between-scan token check; the request is over.
-            if (e.kind() == ErrorKind::Decode ||
-                e.kind() == ErrorKind::Cancelled)
-                throw;
-            // Corrupt (checksum, verified BEFORE the scan decoded) and
-            // Truncated leave the decoder clean: trim and refetch.
-            ++report.faults;
+        if (!decodeHeld())
             continue;
-        }
-        // A clean advance over a short delivery (a truncated read):
-        // the next attempt refetches the missing tail.
-        if (dec.scansDecoded() < target)
+        // A short delivery (a truncated read): the next attempt, or
+        // the next call when the target decoded, refetches the tail.
+        if (delivery.bytes.size() < delivery.scan_offsets[read_to])
             ++report.faults;
     }
     return true;
 }
 
 /**
- * One read of scans [from, target) on the I/O pool, appended to @p dst
+ * One read of scans [from, to) on the I/O pool, appended to @p dst
  * when adopted. The per-read token lives in the shared FetchState —
  * NOT chained to the request token — so an abandoned task never
  * touches request memory. A backup never charges the full-read
@@ -205,7 +219,7 @@ ScanFetcher::fetch(ScanRead &read, EncodedImage &delivery,
  * fails after its backup won: the conservative direction.
  */
 void
-ScanFetcher::pooledFetch(ScanRead &read, int from, int target,
+ScanFetcher::pooledFetch(ScanRead &read, int from, int to,
                          std::vector<uint8_t> &dst, double stage_end_s,
                          FetchReport &report)
 {
@@ -227,14 +241,14 @@ ScanFetcher::pooledFetch(ScanRead &read, int from, int target,
     auto launch = [&](bool is_backup) { // state->mu held
         ++state->pending;
         pool_->enqueue([this, state, is_backup, begin, id = read.id,
-                        from, target,
+                        from, to,
                         charge = !is_backup && !read.charged_full] {
             // fetchScanRange only requires dst.size() ==
             // scan_offsets[from]; the prefix content is never read.
             std::vector<uint8_t> buf(begin);
             std::exception_ptr err;
             try {
-                store_->fetchScanRange(id, from, target, buf, charge,
+                store_->fetchScanRange(id, from, to, buf, charge,
                                        SIZE_MAX, &state->cancel);
             } catch (...) {
                 err = std::current_exception();
@@ -305,7 +319,7 @@ ScanFetcher::pooledFetch(ScanRead &read, int from, int target,
                        "timed fetch: read of object %llu scans "
                        "[%d, %d) abandoned after %.3fs",
                        static_cast<unsigned long long>(read.id), from,
-                       target, waited);
+                       to, waited);
         }
         double next = std::min(kSliceS, abandon_after - waited);
         if (hedge_.enable && !hedge_spent &&

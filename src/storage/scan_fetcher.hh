@@ -1,20 +1,30 @@
 /**
  * @file
  * ScanFetcher: the storage-read policy of a staged request. One
- * fetch() drives a resumable ProgressiveDecoder to a target scan count
- * by fetching bytes from an ObjectStore into the request's delivery
- * buffer (EncodedImage::headerCopy() plus fetched bytes), so storage
- * faults damage only that copy. StagedServingEngine calls it once per
- * fetch stage: stage 1 (preview) and stage 4 (remaining scans).
+ * fetch() drives a resumable ProgressiveDecoder to a DECODE target
+ * scan count by fetching bytes from an ObjectStore into the request's
+ * delivery buffer (EncodedImage::headerCopy() plus fetched bytes), so
+ * storage faults damage only that copy. StagedServingEngine calls it
+ * once per fetch stage: stage 1 (preview) and stage 4 (remaining
+ * scans).
+ *
+ * Read target vs decode target: a read may run past the decode
+ * target (stage 1 reads every scan any decision will need, but
+ * decodes only the preview). The scans past the decode target stay
+ * HELD in the buffer, undecoded; the next fetch() decodes held bytes
+ * first and goes to the store only for what they do not cover — not
+ * at all when they cover its decode target.
  *
  * Retry: recoverable faults (Transient / Truncated / Corrupt, the last
  * caught by the per-scan checksum BEFORE the damaged scan decodes) are
  * retried with deadline-charged backoff (StagedRetryConfig). Each
  * attempt first trims the buffer to the last clean scan boundary, so
- * it refetches only the missing tail. When the budget runs out, or at
- * once on an Error::failFast() fault (an Open breaker), the call gives
- * up and the decoder holds a clean prefix. NotFound, mid-scan Decode
- * damage and client/deadline cancellation propagate.
+ * it refetches only the missing tail; held bytes that fail their
+ * checksum are trimmed and refetched the same way. When the budget
+ * runs out, or at once on an Error::failFast() fault (an Open
+ * breaker), the call gives up and the decoder and buffer hold a clean
+ * prefix. NotFound, mid-scan Decode damage and client/deadline
+ * cancellation propagate.
  *
  * Hedged reads (HedgeConfig) and timed fetches (stage_timeout_s) run
  * every read on a small I/O pool, so the caller can race a backup or
@@ -136,12 +146,15 @@ class ScanFetcher
     ScanFetcher &operator=(const ScanFetcher &) = delete;
 
     /**
-     * Fetch and decode until @p dec (bound to @p delivery) holds
-     * @p target scans; false when it gave up. @p report is filled on
-     * every outcome, throws included. Safe from concurrent callers.
+     * Decode until @p dec (bound to @p delivery) holds @p target
+     * scans; false when it gave up. Held bytes decode first; a store
+     * read, when one is needed, covers scans up to
+     * max(@p target, @p read_to), and what it delivers past @p target
+     * stays held for the next call. @p report is filled on every
+     * outcome, throws included. Safe from concurrent callers.
      */
     bool fetch(ScanRead &read, EncodedImage &delivery,
-               ProgressiveDecoder &dec, int target,
+               ProgressiveDecoder &dec, int target, int read_to,
                FetchReport &report);
 
     /** Bytes delivered by pool reads nobody adopted (see file docs). */
@@ -153,7 +166,7 @@ class ScanFetcher
   private:
     class IoPool;
 
-    void pooledFetch(ScanRead &read, int from, int target,
+    void pooledFetch(ScanRead &read, int from, int to,
                      std::vector<uint8_t> &dst, double stage_end_s,
                      FetchReport &report);
 

@@ -11,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <chrono>
@@ -94,17 +98,24 @@ class StagedEngineTest : public ::testing::Test
         Tensor input;
     };
 
+    /** The grid index the scale model picks from @p id's preview. */
+    int
+    previewChoice(uint64_t id, const StagedEngineConfig &cfg) const
+    {
+        const Image preview = resize(
+            centerCropFraction(decodeProgressive(store_.peek(id),
+                                                 cfg.preview_scans),
+                               cfg.crop_area),
+            scale_->options().input_res, scale_->options().input_res);
+        return scale_->chooseResolutionIndex(preview);
+    }
+
     InlineRef
     inlineReference(uint64_t id, const StagedEngineConfig &cfg) const
     {
         const EncodedImage &enc = store_.peek(id);
         InlineRef ref;
-        const Image preview = resize(
-            centerCropFraction(decodeProgressive(enc,
-                                                 cfg.preview_scans),
-                               cfg.crop_area),
-            scale_->options().input_res, scale_->options().input_res);
-        ref.r_idx = scale_->chooseResolutionIndex(preview);
+        ref.r_idx = previewChoice(id, cfg);
         ref.scans = cfg.scan_depth
                         ? std::clamp(cfg.scan_depth(id, ref.r_idx),
                                      cfg.preview_scans,
@@ -119,6 +130,41 @@ class StagedEngineTest : public ::testing::Test
         ref.input = Tensor({1, 3, r, r});
         std::copy_n(sized.data(), sized.numel(), ref.input.data());
         return ref;
+    }
+
+    /**
+     * The decision floor of @p id (no ladder): the fewest scans any
+     * grid resolution's decision reads, which stage 1 reads at once.
+     */
+    int
+    decisionFloor(uint64_t id, const StagedEngineConfig &cfg) const
+    {
+        const int n = store_.peek(id).numScans();
+        if (!cfg.scan_depth)
+            return n;
+        int floor = n;
+        for (size_t r = 0; r < scale_->resolutions().size(); ++r)
+            floor = std::min(
+                floor, std::clamp(cfg.scan_depth(id, static_cast<int>(r)),
+                                  cfg.preview_scans, n));
+        return floor;
+    }
+
+    /**
+     * A scan_depth policy under which object @p id still makes a
+     * resume read: every scan at the resolution its preview picks,
+     * only the preview at any other. The floor is then the preview
+     * and the decision reads past it.
+     */
+    std::function<int(uint64_t, int)>
+    resumeReadDepth(uint64_t id, const StagedEngineConfig &cfg) const
+    {
+        const int chosen = previewChoice(id, cfg);
+        const int n = store_.peek(id).numScans();
+        const int kprev = cfg.preview_scans;
+        return [chosen, n, kprev](uint64_t, int r_idx) {
+            return r_idx == chosen ? n : kprev;
+        };
     }
 
     SyntheticDataset ds_;
@@ -415,13 +461,21 @@ TEST_F(StagedEngineTest, RetryThenSucceedMatchesCleanPipeline)
     // retry must recover and the request must then be
     // indistinguishable from a clean run: same decision, same scans,
     // and — because a transient throw delivers zero bytes — the same
-    // metered byte count.
+    // metered byte count. A decision at the high resolution reads one
+    // scan past the floor, so it runs a second fetch stage.
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
+    cfg.scan_depth = [](uint64_t, int r_idx) { return 2 + r_idx; };
 
     std::vector<InlineRef> refs;
-    for (int i = 0; i < kObjects; ++i)
+    std::vector<int> stages; // fetch stages each object runs
+    int all_stages = 0;
+    for (int i = 0; i < kObjects; ++i) {
         refs.push_back(inlineReference(i, cfg));
+        stages.push_back(refs.back().scans > decisionFloor(i, cfg) ? 2
+                                                                   : 1);
+        all_stages += stages.back();
+    }
 
     FaultPolicy policy;
     policy.script = [](const FaultContext &ctx) {
@@ -444,18 +498,18 @@ TEST_F(StagedEngineTest, RetryThenSucceedMatchesCleanPipeline)
         EXPECT_EQ(reqs[i].scans_read, refs[i].scans) << i;
         EXPECT_EQ(reqs[i].scans_intended, refs[i].scans) << i;
         EXPECT_EQ(reqs[i].bytes_read, refs[i].bytes) << i;
-        EXPECT_EQ(reqs[i].retries, 2)
-            << "preview + resume fetch each take exactly one retry";
+        EXPECT_EQ(reqs[i].retries, stages[i])
+            << "each fetch stage takes exactly one retry";
     }
     const StagedStats st = engine.stats();
     EXPECT_EQ(st.decoded, static_cast<uint64_t>(kObjects));
-    EXPECT_EQ(st.retries, static_cast<uint64_t>(2 * kObjects));
-    EXPECT_EQ(st.fetch_faults, static_cast<uint64_t>(2 * kObjects));
+    EXPECT_EQ(st.retries, static_cast<uint64_t>(all_stages));
+    EXPECT_EQ(st.fetch_faults, static_cast<uint64_t>(all_stages));
     EXPECT_EQ(st.degraded, 0u);
     EXPECT_EQ(st.failed, 0u);
     EXPECT_EQ(st.retry_giveups, 0u);
     EXPECT_EQ(faulty.stats().faults_transient,
-              static_cast<uint64_t>(2 * kObjects));
+              static_cast<uint64_t>(all_stages));
 }
 
 TEST_F(StagedEngineTest, RetryExhaustedDegradesBitIdentically)
@@ -468,6 +522,7 @@ TEST_F(StagedEngineTest, RetryExhaustedDegradesBitIdentically)
     optimizeForInference(*g);
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
+    cfg.scan_depth = resumeReadDepth(0, cfg);
 
     const EncodedImage &enc = store_.peek(0);
     const Image preview = resize(
@@ -850,6 +905,29 @@ TEST_F(StagedEngineTest, BreakerOpenDegradesWithoutBackoffSleep)
                                st.rejected);
 }
 
+/**
+ * While @p failing, a store that delivers only each object's first
+ * scan: a read from scan 0 is cut after it and every later read
+ * fails. Every request then makes a failing resume read and degrades,
+ * whatever its tier, preview depth and decision. (No scan_depth
+ * policy does that here: at a resolution-capping tier every decision
+ * lands on the lowest resolution, so on a two-resolution grid an
+ * object whose full-quality decision is the highest cannot read past
+ * the floor at both tiers.)
+ */
+FaultScript
+firstScanOnly(const ObjectStore &store, const std::atomic<bool> &failing)
+{
+    return [&store, &failing](const FaultContext &ctx) {
+        FaultDecision d;
+        if (failing.load()) {
+            d.fail = ctx.from_scans >= 1;
+            d.deliver_bytes = store.peek(ctx.id).bytesForScans(1);
+        }
+        return d;
+    };
+}
+
 TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
 {
     // Scripted resume-fetch failures generate Degraded pressure; the
@@ -861,11 +939,7 @@ TEST_F(StagedEngineTest, BrownoutTiersDropAndRecoverDeterministically)
         ManualClock clk;
         std::atomic<bool> failing{true};
         FaultPolicy policy;
-        policy.script = [&failing](const FaultContext &ctx) {
-            FaultDecision d;
-            d.fail = failing.load() && ctx.from_scans >= 1;
-            return d;
-        };
+        policy.script = firstScanOnly(store_, failing);
         FaultyObjectStore faulty(store_, policy);
 
         StagedEngineConfig cfg = baseConfig();
@@ -957,11 +1031,7 @@ TEST_F(StagedEngineTest, BrownoutTierCapsDepthAndResolution)
     ManualClock clk;
     std::atomic<bool> failing{true};
     FaultPolicy policy;
-    policy.script = [&failing](const FaultContext &ctx) {
-        FaultDecision d;
-        d.fail = failing.load() && ctx.from_scans >= 1;
-        return d;
-    };
+    policy.script = firstScanOnly(store_, failing);
     FaultyObjectStore faulty(store_, policy);
 
     StagedEngineConfig cfg = baseConfig();
@@ -1032,11 +1102,7 @@ TEST_F(StagedEngineTest, BrownoutShedsToInt8BackboneTier)
     ManualClock clk;
     std::atomic<bool> failing{true};
     FaultPolicy policy;
-    policy.script = [&failing](const FaultContext &ctx) {
-        FaultDecision d;
-        d.fail = failing.load() && ctx.from_scans >= 1;
-        return d;
-    };
+    policy.script = firstScanOnly(store_, failing);
     FaultyObjectStore faulty(store_, policy);
 
     StagedEngineConfig cfg = baseConfig();
@@ -1155,6 +1221,25 @@ TEST_F(StagedEngineTest, HedgedReadCutsInjectedTailLatency)
 // containment of hung reads, and the serving watchdog.
 // --------------------------------------------------------------------
 
+/**
+ * Wait up to 10 s for a read to wedge in @p store. On timeout, release
+ * every hang (so the engine can still drain) and return false.
+ */
+bool
+awaitHungRead(FaultyObjectStore &store)
+{
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (store.stats().faults_hung < 1) {
+        if (std::chrono::steady_clock::now() > give_up) {
+            store.releaseHangs();
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 TEST_F(StagedEngineTest, StageTimeoutAbandonsHungReadThenRecovers)
 {
     // stage_timeout_s bounds the PHYSICAL read, not just backoff (the
@@ -1176,6 +1261,7 @@ TEST_F(StagedEngineTest, StageTimeoutAbandonsHungReadThenRecovers)
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
     cfg.retry.stage_timeout_s = 0.05;
+    cfg.scan_depth = resumeReadDepth(0, cfg);
     StagedEngineConfig ref_cfg = cfg;
     ref_cfg.preview_scans = 0; // what the degraded decision sees
     const InlineRef ref = inlineReference(0, ref_cfg);
@@ -1228,6 +1314,7 @@ TEST_F(StagedEngineTest, PermanentHangDegradesAndDrainStaysLive)
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
     cfg.retry.stage_timeout_s = 0.04;
+    cfg.scan_depth = resumeReadDepth(0, cfg);
     const size_t preview_bytes =
         store_.peek(0).bytesForScans(cfg.preview_scans);
 
@@ -1287,6 +1374,7 @@ TEST_F(StagedEngineTest, LateCompletionOfAbandonedReadMetersOnce)
     StagedEngineConfig cfg = baseConfig();
     cfg.retry = fastRetry();
     cfg.retry.stage_timeout_s = 0.03;
+    cfg.scan_depth = resumeReadDepth(0, cfg);
     StagedEngineConfig ref_cfg = cfg;
     ref_cfg.preview_scans = 0; // the abandoned preview decodes nothing
     const InlineRef ref = inlineReference(0, ref_cfg);
@@ -1377,12 +1465,15 @@ TEST_F(StagedEngineTest, ClientCancelWakesWedgedReadMidFlight)
     FaultyObjectStore faulty(store_, policy);
 
     StagedEngineConfig cfg = baseConfig();
+    cfg.scan_depth = resumeReadDepth(0, cfg);
     StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
     StagedRequest req;
     req.id = 0;
     ASSERT_TRUE(engine.submit(req));
-    while (faulty.stats().faults_hung < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!awaitHungRead(faulty)) {
+        engine.wait(req);
+        FAIL() << "the request never wedged in its resume read";
+    }
     engine.cancel(req);
     engine.wait(req);
 
@@ -1493,6 +1584,7 @@ TEST_F(StagedEngineTest, WatchdogFlagsWedgedWorkerAndFailFasts)
     cfg.overload.watchdog.enable = true;
     cfg.overload.watchdog.liveness_budget_s = 1.0;
     cfg.overload.watchdog.poll_interval_s = 0.002;
+    cfg.scan_depth = resumeReadDepth(0, cfg);
 
     StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
     StagedRequest req;
@@ -1500,8 +1592,10 @@ TEST_F(StagedEngineTest, WatchdogFlagsWedgedWorkerAndFailFasts)
     ASSERT_TRUE(engine.submit(req));
     // Only once the worker is provably wedged does the budget clock
     // move — a deterministic flag, not a racy one.
-    while (faulty.stats().faults_hung < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!awaitHungRead(faulty)) {
+        engine.wait(req);
+        FAIL() << "the request never wedged in its resume read";
+    }
     clk.advance(2.0);
     engine.wait(req);
 
@@ -1847,6 +1941,211 @@ TEST_F(StagedEngineTest, CacheOnConservesTerminalsUnderConcurrency)
     // actually engaged.
     EXPECT_GT(st.cache_hits + st.cache_resumes, 0u);
     store_.detachCache(&cache);
+}
+
+// --------------------------------------------------------------------
+// Coalesced stage-1 read: stage 1 reads up to the decision floor in
+// one read but decodes only the preview; stage 4 decodes the held
+// scans first and reads only what they do not cover.
+// --------------------------------------------------------------------
+
+/** Records every range a read asks the store for. */
+struct RangeLog
+{
+    std::mutex mu;
+    std::vector<std::pair<int, int>> ranges;
+
+    void
+    add(const FaultContext &ctx)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(ctx.from_scans, ctx.to_scans);
+    }
+};
+
+TEST_F(StagedEngineTest, CoalescedStageOneReadsOnceUpToTheFloor)
+{
+    // The floor is 3 scans for every object, past the 1-scan preview.
+    // Even ids read 3 scans at every resolution (d == floor); odd ids
+    // read 4 at the resolution their preview picks (d > floor).
+    // Decisions, depths and bytes must match the inline pipeline (a
+    // preview decoded from every scan read would decide on 3 scans),
+    // and a decision the floor covers costs ONE store read.
+    StagedEngineConfig cfg = baseConfig();
+    cfg.preview_scans = 1;
+    std::vector<int> chosen;
+    for (int i = 0; i < kObjects; ++i)
+        chosen.push_back(previewChoice(i, cfg));
+    cfg.scan_depth = [chosen](uint64_t id, int r_idx) {
+        return id % 2 == 1 && r_idx == chosen[id] ? 4 : 3;
+    };
+    std::vector<InlineRef> refs;
+    for (int i = 0; i < kObjects; ++i)
+        refs.push_back(inlineReference(i, cfg));
+    store_.resetStats();
+
+    StagedServingEngine engine(store_, *scale_, nullptr, cfg);
+    int one_read = 0, two_reads = 0;
+    size_t want_bytes = 0;
+    for (int i = 0; i < kObjects; ++i) {
+        const uint64_t reads0 = store_.stats().requests;
+        StagedRequest req;
+        req.id = static_cast<uint64_t>(i);
+        ASSERT_TRUE(engine.submit(req));
+        engine.wait(req);
+        ASSERT_EQ(req.stateNow(), StagedState::Done) << i;
+        EXPECT_EQ(req.resolution_index, refs[i].r_idx) << i;
+        EXPECT_EQ(req.scans_read, refs[i].scans) << i;
+        EXPECT_EQ(req.preview_scans, cfg.preview_scans)
+            << "the preview decodes the preview scans only";
+        EXPECT_EQ(req.bytes_read, refs[i].bytes) << i;
+        const int floor = decisionFloor(i, cfg);
+        const uint64_t want_reads =
+            refs[i].scans == std::max(cfg.preview_scans, floor) ? 1 : 2;
+        EXPECT_EQ(store_.stats().requests - reads0, want_reads) << i;
+        ++(want_reads == 1 ? one_read : two_reads);
+        want_bytes += refs[i].bytes;
+    }
+    EXPECT_EQ(one_read, kObjects / 2);
+    EXPECT_EQ(two_reads, kObjects / 2);
+    EXPECT_EQ(store_.stats().bytes_read, want_bytes)
+        << "coalescing read no byte beyond the served depth";
+    EXPECT_EQ(engine.stats().bytes_read, want_bytes);
+}
+
+TEST_F(StagedEngineTest, CoalescedReadStopsAtATierScanCap)
+{
+    // A tier capping depth at 3 scans caps the floor by the same rule
+    // as the decision: the one coalesced read ends at the served
+    // depth, though the policy asks for 4 or 5.
+    StagedEngineConfig cfg = baseConfig();
+    cfg.scan_depth = [](uint64_t, int r_idx) { return 4 + r_idx; };
+    QualityTier capped;
+    capped.scan_cap = 3;
+    capped.engage_depth = 0; // depth >= 1 at every formation
+    cfg.ladder = {QualityTier{}, capped};
+    store_.resetStats();
+
+    StagedServingEngine engine(store_, *scale_, nullptr, cfg);
+    for (int i = 0; i < kObjects; ++i) {
+        const ReadStats before = store_.stats();
+        StagedRequest req;
+        req.id = static_cast<uint64_t>(i);
+        ASSERT_TRUE(engine.submit(req));
+        engine.wait(req);
+        ASSERT_EQ(req.stateNow(), StagedState::Done) << i;
+        const size_t want = store_.peek(i).bytesForScans(3);
+        EXPECT_EQ(req.scans_read, 3) << i;
+        EXPECT_EQ(req.bytes_read, want) << i;
+        EXPECT_EQ(store_.stats().bytes_read - before.bytes_read, want)
+            << i;
+        EXPECT_EQ(store_.stats().requests - before.requests, 1u) << i;
+    }
+}
+
+TEST_F(StagedEngineTest, CacheHitTakesNoCoalescedRead)
+{
+    // A stage-1 hit at the preview depth skips stage 1's read, floor
+    // included: the only read is stage 4's, from the hit's depth.
+    DecodeCacheConfig ccfg;
+    ccfg.require_second_hit = false;
+    DecodeCache cache(ccfg);
+    store_.attachCache(&cache);
+    {
+        // Seed pass: decisions stop at the preview depth, so the cache
+        // holds a depth-2 entry only.
+        StagedEngineConfig cfg = baseConfig();
+        cfg.scan_depth = [](uint64_t, int) { return 2; };
+        cfg.cache = &cache;
+        StagedServingEngine engine(store_, *scale_, nullptr, cfg);
+        StagedRequest req;
+        req.id = 0;
+        ASSERT_TRUE(engine.submit(req));
+        engine.wait(req);
+        ASSERT_EQ(req.stateNow(), StagedState::Done);
+    }
+
+    StagedEngineConfig cfg = baseConfig();
+    cfg.scan_depth = [](uint64_t, int r_idx) { return 3 + r_idx; };
+    cfg.cache = &cache;
+    const InlineRef ref = inlineReference(0, cfg);
+    RangeLog log;
+    FaultPolicy policy;
+    policy.script = [&log](const FaultContext &ctx) {
+        log.add(ctx);
+        return FaultDecision{};
+    };
+    FaultyObjectStore faulty(store_, policy);
+    store_.resetStats();
+
+    StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
+    StagedRequest req;
+    req.id = 0;
+    ASSERT_TRUE(engine.submit(req));
+    engine.wait(req);
+    ASSERT_EQ(req.stateNow(), StagedState::Done);
+    EXPECT_EQ(req.resolution_index, ref.r_idx);
+    EXPECT_EQ(req.scans_read, ref.scans);
+    const std::vector<std::pair<int, int>> want = {{2, ref.scans}};
+    EXPECT_EQ(log.ranges, want);
+    const EncodedImage &enc = store_.peek(0);
+    EXPECT_EQ(req.bytes_read,
+              enc.bytesForScans(ref.scans) - enc.bytesForScans(2));
+    EXPECT_EQ(engine.stats().cache_hits, 1u);
+    engine.stop();
+    store_.detachCache(&cache);
+}
+
+TEST_F(StagedEngineTest, TruncatedCoalescedReadStillServesTheDecision)
+{
+    // The coalesced read [0, 4) is cut halfway through scan 3, past
+    // the 2-scan preview but short of the floor. The preview decodes
+    // as usual; stage 4 decodes the whole held scan 2, drops the
+    // partial scan 3 and reads from it. The request serves Done with
+    // the reference decision, and the engine meters what the store
+    // sent.
+    StagedEngineConfig cfg = baseConfig();
+    cfg.scan_depth = [](uint64_t, int r_idx) { return 4 + r_idx; };
+    std::vector<InlineRef> refs;
+    for (int i = 0; i < kObjects; ++i)
+        refs.push_back(inlineReference(i, cfg));
+    RangeLog log;
+    FaultPolicy policy;
+    policy.script = [this, &log](const FaultContext &ctx) {
+        log.add(ctx);
+        FaultDecision d;
+        if (ctx.from_scans == 0 && ctx.attempt == 0) {
+            const EncodedImage &enc = store_.peek(ctx.id);
+            d.deliver_bytes = enc.bytesForScans(3) +
+                              (enc.bytesForScans(4) -
+                               enc.bytesForScans(3)) / 2;
+        }
+        return d;
+    };
+    FaultyObjectStore faulty(store_, policy);
+    store_.resetStats();
+
+    StagedServingEngine engine(faulty, *scale_, nullptr, cfg);
+    for (int i = 0; i < kObjects; ++i) {
+        {
+            std::lock_guard<std::mutex> lock(log.mu);
+            log.ranges.clear();
+        }
+        StagedRequest req;
+        req.id = static_cast<uint64_t>(i);
+        ASSERT_TRUE(engine.submit(req));
+        engine.wait(req);
+        ASSERT_EQ(req.stateNow(), StagedState::Done) << i;
+        EXPECT_EQ(req.resolution_index, refs[i].r_idx) << i;
+        EXPECT_EQ(req.preview_scans, cfg.preview_scans) << i;
+        EXPECT_EQ(req.scans_read, refs[i].scans) << i;
+        const std::vector<std::pair<int, int>> want = {
+            {0, 4}, {3, refs[i].scans}};
+        EXPECT_EQ(log.ranges, want) << i;
+    }
+    EXPECT_EQ(engine.stats().bytes_read, faulty.stats().bytes_read);
+    EXPECT_EQ(faulty.stats().faults_truncated,
+              static_cast<uint64_t>(kObjects));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -63,7 +64,7 @@ TEST(ScanFetcher, BackoffDoublesUpToTheCapWithZeroJitter)
     ProgressiveDecoder dec(delivery);
     FetchReport report;
     EXPECT_FALSE(fetcher.fetch(read, delivery, dec, enc.numScans(),
-                               report));
+                               enc.numScans(), report));
 
     // base * 2^(n-1) for retry n, capped: 1, 2, 4, 5, 5 ms.
     const std::vector<double> want = {1e-3, 2e-3, 4e-3, 5e-3, 5e-3};
@@ -115,7 +116,7 @@ TEST(ScanFetcher, FailFastGivesUpWithoutAdvancingTheClock)
     EncodedImage delivery = enc.headerCopy();
     ProgressiveDecoder dec(delivery);
     FetchReport report;
-    EXPECT_FALSE(fetcher.fetch(read, delivery, dec, 2, report));
+    EXPECT_FALSE(fetcher.fetch(read, delivery, dec, 2, 2, report));
 
     EXPECT_EQ(clock.now(), 0.0);
     EXPECT_EQ(report.faults, 1);
@@ -164,7 +165,7 @@ TEST_P(ScanFetcherPathTest, TruncatedDeliveryRefetchesOnlyTheTail)
     EncodedImage delivery = enc.headerCopy();
     ProgressiveDecoder dec(delivery);
     FetchReport report;
-    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, n, report));
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, n, n, report));
     fetcher.stop();
 
     const std::vector<std::pair<int, int>> want = {{0, n}, {2, n}};
@@ -179,6 +180,139 @@ TEST_P(ScanFetcherPathTest, TruncatedDeliveryRefetchesOnlyTheTail)
     EXPECT_EQ(faulty.stats().bytes_read, report.bytes);
     EXPECT_EQ(faulty.stats().bytes_full, enc.totalBytes())
         << "the full-read denominator is charged once";
+}
+
+TEST_P(ScanFetcherPathTest, ReadPastTheDecodeTargetHoldsTheRest)
+{
+    // One read of every scan with a decode target of 2: the decoder
+    // stops at 2, bit-identical to a 2-scan decode, and the rest of
+    // the delivery stays held in the buffer, metered once.
+    ObjectStore store;
+    const EncodedImage enc = encodeTest(4);
+    store.put(kId, enc);
+    const int n = enc.numScans();
+    ASSERT_GE(n, 4);
+    ManualClock clock;
+    StagedRetryConfig retry;
+    retry.stage_timeout_s = GetParam() ? 30.0 : 0.0;
+    ScanFetcher fetcher(store, retry, HedgeConfig{}, clock, 1);
+    CancelToken token;
+    ScanRead read;
+    read.id = kId;
+    read.cancel = &token;
+    EncodedImage delivery = enc.headerCopy();
+    ProgressiveDecoder dec(delivery);
+    FetchReport report;
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, 2, n, report));
+    fetcher.stop();
+
+    EXPECT_EQ(dec.scansDecoded(), 2);
+    const Image want = decodeProgressive(enc, 2);
+    const Image got = dec.image();
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * want.numel()),
+              0);
+    EXPECT_EQ(delivery.bytes, enc.bytes) << "scans [2, n) are held";
+    EXPECT_EQ(report.bytes, enc.totalBytes());
+    EXPECT_EQ(report.faults, 0);
+    EXPECT_EQ(store.stats().requests, 1u);
+    EXPECT_EQ(store.stats().bytes_read, enc.totalBytes());
+}
+
+TEST_P(ScanFetcherPathTest, HeldBytesCoverTheNextFetchWithoutARead)
+{
+    // A second fetch whose target the held bytes cover decodes them
+    // and makes no store read at all.
+    ObjectStore store;
+    const EncodedImage enc = encodeTest(5);
+    store.put(kId, enc);
+    const int n = enc.numScans();
+    ManualClock clock;
+    StagedRetryConfig retry;
+    retry.stage_timeout_s = GetParam() ? 30.0 : 0.0;
+    ScanFetcher fetcher(store, retry, HedgeConfig{}, clock, 1);
+    CancelToken token;
+    ScanRead read;
+    read.id = kId;
+    read.cancel = &token;
+    EncodedImage delivery = enc.headerCopy();
+    ProgressiveDecoder dec(delivery);
+    FetchReport first;
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, 2, n, first));
+    ASSERT_EQ(store.stats().requests, 1u);
+
+    FetchReport second;
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, n, n, second));
+    fetcher.stop();
+    EXPECT_EQ(dec.scansDecoded(), n);
+    EXPECT_EQ(store.stats().requests, 1u) << "no second store read";
+    EXPECT_EQ(second.bytes, 0u);
+    EXPECT_EQ(second.retries, 0);
+    EXPECT_EQ(second.faults, 0);
+    const Image want = decodeProgressive(enc, n);
+    const Image got = dec.image();
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * want.numel()),
+              0);
+}
+
+TEST_P(ScanFetcherPathTest, HeldBitFlipIsTrimmedAndRefetchedOnce)
+{
+    // The first read's delivery carries a bit flip inside scan 3,
+    // held and undecoded past the decode target of 2. The next fetch
+    // catches it with the scan checksum before scan 3 decodes, trims
+    // to scan 3 and refetches [3, n) once — a fault, not a retry —
+    // and every delivered byte is metered exactly once.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(6);
+    base.put(kId, enc);
+    const int n = enc.numScans();
+    ASSERT_GE(n, 4);
+    std::mutex mu;
+    std::vector<std::pair<int, int>> ranges;
+    FaultPolicy policy;
+    policy.script = [&](const FaultContext &ctx) {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(ctx.from_scans, ctx.to_scans);
+        FaultDecision d;
+        if (ctx.from_scans == 0)
+            d.flip_bit = static_cast<int64_t>(enc.bytesForScans(3)) * 8 + 5;
+        return d;
+    };
+    FaultyObjectStore faulty(base, policy);
+
+    ManualClock clock;
+    StagedRetryConfig retry;
+    retry.stage_timeout_s = GetParam() ? 30.0 : 0.0;
+    ScanFetcher fetcher(faulty, retry, HedgeConfig{}, clock, 1);
+    CancelToken token;
+    ScanRead read;
+    read.id = kId;
+    read.cancel = &token;
+    EncodedImage delivery = enc.headerCopy();
+    ProgressiveDecoder dec(delivery);
+    FetchReport first;
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, 2, n, first));
+    EXPECT_EQ(dec.scansDecoded(), 2);
+    EXPECT_EQ(first.faults, 0) << "the flip lies past the decode target";
+
+    FetchReport second;
+    ASSERT_TRUE(fetcher.fetch(read, delivery, dec, n, n, second));
+    fetcher.stop();
+
+    const std::vector<std::pair<int, int>> want = {{0, n}, {3, n}};
+    EXPECT_EQ(ranges, want);
+    EXPECT_EQ(dec.scansDecoded(), n);
+    EXPECT_EQ(delivery.bytes, enc.bytes);
+    EXPECT_EQ(second.faults, 1);
+    EXPECT_EQ(second.retries, 0);
+    EXPECT_EQ(second.giveups, 0);
+    EXPECT_EQ(faulty.stats().faults_corrupted, 1u);
+    EXPECT_EQ(first.bytes + second.bytes, faulty.stats().bytes_read);
+    EXPECT_EQ(second.bytes, enc.totalBytes() - enc.bytesForScans(3));
+    EXPECT_EQ(fetcher.detachedBytes(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pooled, ScanFetcherPathTest, ::testing::Bool());
