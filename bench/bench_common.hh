@@ -15,6 +15,31 @@
  *   TAMRES_ENGINE_REQS       requests per engine closed-loop point
  *   TAMRES_CACHE             tuning-cache path
  *
+ * BENCH_kernels.json (written by bench/parallel_speedup, gated by
+ * tools/bench_gate.py against bench/baselines/). Every *_gflops field
+ * is a multiply-accumulate rate in GMAC/s (ConvProblem::macs() / 1e9
+ * per second, the paper's "FLOPs" convention): half the GFLOP/s that
+ * counts 2 FLOPs per MAC, as perfbench's nn.conv_gflops and
+ * microbench_kernels' GFLOP/s counter do. The names are kept for
+ * baseline continuity; hold them against a roofline in MACs.
+ *   threads                  threaded-variant worker count
+ *   kernels[]                one conv algorithm at a ResNet/MobileNet
+ *                            shape per entry:
+ *     serial_gflops,         GMAC/s at 1 thread and at `threads`
+ *     threaded_gflops
+ *     speedup                threaded / serial
+ *   simd                     detected level, "+avx512f" when the
+ *                            512-bit GEMM tiles are available
+ *   micro[]                  one (mr x nr) serial GEMM per entry:
+ *     scalar_gflops          GMAC/s at the scalar level
+ *     simd_gflops            GMAC/s at the detected level with its
+ *                            sub-features on (512-bit tiles included)
+ *     avx2_gflops            GMAC/s at the detected level with the
+ *                            512-bit tiles off (equals simd_gflops on
+ *                            hosts without AVX-512F)
+ *     speedup                simd_gflops / scalar_gflops
+ *   prepack, dct8x8, codec   req/s, blocks/s and Mpix/s throughputs
+ *
  * BENCH_engine.json (written by bench/batched_serving, gated by
  * tools/bench_gate.py against bench/baselines/):
  *   workers                  engine worker threads (host parallelism)

@@ -52,6 +52,15 @@ const ConvProblem kShapeDw{.n = 1, .ic = 96, .ih = 28, .iw = 28,
                            .oc = 96, .kh = 3, .kw = 3, .stride = 1,
                            .pad = 1, .groups = 96};
 
+/** Conv rate in GFLOP/s: 2 FLOPs (multiply + add) per MAC. */
+benchmark::Counter
+convFlopsCounter(const ConvProblem &p, const benchmark::State &state)
+{
+    return benchmark::Counter(2.0 * static_cast<double>(p.macs()) *
+                                  state.iterations() / 1e9,
+                              benchmark::Counter::kIsRate);
+}
+
 void
 runConv(benchmark::State &state, const ConvProblem &p,
         const ConvConfig &cfg)
@@ -62,9 +71,7 @@ runConv(benchmark::State &state, const ConvProblem &p,
                     buf.out.data(), cfg);
         benchmark::DoNotOptimize(buf.out.data());
     }
-    state.counters["GFLOP/s"] = benchmark::Counter(
-        static_cast<double>(p.macs()) * state.iterations() / 1e9,
-        benchmark::Counter::kIsRate);
+    state.counters["GFLOP/s"] = convFlopsCounter(p, state);
 }
 
 void
@@ -204,9 +211,7 @@ BM_Conv224_Im2colPrepacked(benchmark::State &state)
                              buf.bias.data(), buf.out.data());
         benchmark::DoNotOptimize(buf.out.data());
     }
-    state.counters["GFLOP/s"] = benchmark::Counter(
-        static_cast<double>(p.macs()) * state.iterations() / 1e9,
-        benchmark::Counter::kIsRate);
+    state.counters["GFLOP/s"] = convFlopsCounter(p, state);
 }
 
 // --- Codec hot path (AAN DCT + batched entropy layer) ---

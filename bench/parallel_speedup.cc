@@ -7,7 +7,8 @@
  * Measures:
  *  - each conv algorithm (im2col, winograd, direct, depthwise) at a
  *    ResNet/MobileNet-family shape, 1 thread vs the process default
- *    (TAMRES_THREADS), in GFLOP/s;
+ *    (TAMRES_THREADS), in GMAC/s (the JSON's *_gflops fields count
+ *    one multiply-accumulate per unit; see bench_common.hh);
  *  - the 8x8 forward DCT, AAN butterfly vs the seed's naive
  *    64-multiply-per-pass transform (blocks/s) — the single-thread
  *    codec win;
@@ -136,7 +137,7 @@ measureConvPoint(const char *name, const ConvProblem &p, ConvConfig cfg,
         std::exit(1);
     }
 
-    std::printf("%-16s %8.3f GF/s serial  %8.3f GF/s x%d threads  "
+    std::printf("%-16s %8.3f GMAC/s serial  %8.3f GMAC/s x%d threads  "
                 "(%.2fx, bit-identical)\n",
                 name, point.serial_gflops, point.threaded_gflops,
                 threads, point.speedup());
@@ -148,13 +149,25 @@ struct MicroPoint
     std::string name;
     double scalar_gflops = 0.0;
     double simd_gflops = 0.0;
+    double avx2_gflops = 0.0; //!< detected level, 512-bit tiles off
 
     double speedup() const { return simd_gflops / scalar_gflops; }
 };
 
+/** "avx2", or "avx2+avx512f" when the 512-bit GEMM tiles are there. */
+std::string
+simdDescriptor()
+{
+    std::string out = simdLevelName(simdDetected());
+    if (simdAvx512Detected())
+        out += "+avx512f";
+    return out;
+}
+
 /**
- * GF/s of one (mr x nr) micro-kernel at the scalar and detected SIMD
- * dispatch levels, through a serial pointwise GEMM shaped like the
+ * GMAC/s of one (mr x nr) micro-kernel at the scalar and detected SIMD
+ * dispatch levels (the latter with and without the AVX-512F
+ * sub-feature), through a serial pointwise GEMM shaped like the
  * 224-family hot layer (M=64, K=576, N=3136).
  */
 MicroPoint
@@ -186,12 +199,21 @@ measureMicroPoint(int mr, int nr)
     }
     {
         SimdLevelGuard guard(simdDetected());
+        SimdAvx512Guard wide(true);
         point.simd_gflops = gf / medianRunSeconds(run, reps());
     }
-    std::printf("micro %-6s %8.3f GF/s scalar  %8.3f GF/s %s  (%.2fx)\n",
+    if (simdAvx512Detected()) {
+        SimdLevelGuard guard(simdDetected());
+        SimdAvx512Guard wide(false);
+        point.avx2_gflops = gf / medianRunSeconds(run, reps());
+    } else {
+        point.avx2_gflops = point.simd_gflops;
+    }
+    std::printf("micro %-6s %8.3f GMAC/s scalar  %8.3f GMAC/s %s  (%.2fx)  "
+                "%8.3f GMAC/s without avx512f\n",
                 point.name.c_str(), point.scalar_gflops,
-                point.simd_gflops, simdLevelName(simdDetected()),
-                point.speedup());
+                point.simd_gflops, simdDescriptor().c_str(),
+                point.speedup(), point.avx2_gflops);
     return point;
 }
 
@@ -203,9 +225,12 @@ main()
     const int threads = ThreadPool::defaultParallelism();
     std::printf("parallel_speedup: %d worker threads "
                 "(TAMRES_THREADS to override); simd: %s detected, "
-                "%s active (TAMRES_SIMD to override)\n\n",
-                threads, simdLevelName(simdDetected()),
-                simdLevelName(simdLevel()));
+                "%s active, 512-bit GEMM tiles %s "
+                "(TAMRES_SIMD to override)\n\n",
+                threads, simdDescriptor().c_str(),
+                simdLevelName(simdLevel()),
+                simdLevel() == SimdLevel::Avx2 && simdAvx512() ? "on"
+                                                               : "off");
 
     // --- Conv kernels ---------------------------------------------
     const ConvProblem shape224{.n = 1, .ic = 64, .ih = 56, .iw = 56,
@@ -237,7 +262,7 @@ main()
     // --- Micro-kernels: scalar vs SIMD dispatch -------------------
     std::vector<MicroPoint> micros;
     for (const auto &[mr, nr] :
-         {std::pair{4, 8}, {6, 8}, {8, 8}, {4, 16}, {6, 16}})
+         {std::pair{4, 8}, {6, 8}, {8, 8}, {4, 16}, {6, 16}, {8, 16}})
         micros.push_back(measureMicroPoint(mr, nr));
 
     // --- Weight packing: per-request vs plan-prepacked ------------
@@ -368,14 +393,16 @@ main()
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"simd\": \"%s\",\n  \"micro\": [\n",
-                 simdLevelName(simdDetected()));
+                 simdDescriptor().c_str());
     for (size_t i = 0; i < micros.size(); ++i) {
         const MicroPoint &m = micros[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"scalar_gflops\": %.4f, "
-                     "\"simd_gflops\": %.4f, \"speedup\": %.3f}%s\n",
+                     "\"simd_gflops\": %.4f, \"avx2_gflops\": %.4f, "
+                     "\"speedup\": %.3f}%s\n",
                      m.name.c_str(), m.scalar_gflops, m.simd_gflops,
-                     m.speedup(), i + 1 < micros.size() ? "," : "");
+                     m.avx2_gflops, m.speedup(),
+                     i + 1 < micros.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,

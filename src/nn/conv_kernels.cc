@@ -363,6 +363,16 @@ microKernel(int kc, const float *ap, const float *bp, float *c,
 
 using MicroFn = void (*)(int, const float *, const float *, float *, int);
 
+/**
+ * Signature of the 512-bit GEMM kernels: a block of NA packed A panels
+ * (consecutive, MR*kc floats apart) by NB packed B panels (16 columns,
+ * 16*kc floats apart), stored into C (row stride @p ldc) for its first
+ * @p rows rows and @p cols columns only — tails store through masks,
+ * so every tile that lies in one C matrix is written in place.
+ */
+using WideFn = void (*)(int kc, const float *ap, const float *bp,
+                        float *c, int ldc, int rows, int cols);
+
 /** Scalar fallback for every supported (mr, nr); defines the set. */
 MicroFn
 microDispatchScalar(int mr, int nr)
@@ -390,14 +400,18 @@ microDispatchScalar(int mr, int nr)
 #if TAMRES_SIMD_X86
 
 /**
- * AVX2+FMA micro-kernel: MR rows by NV 8-lane column vectors. The
- * accumulation order over k matches the scalar template per element
- * (one fused multiply-add per k step), so results are deterministic
- * and partition-independent; vs the scalar fallback only the FMA
- * rounding differs. Register budget: MR*NV accumulators + NV B loads
- * + 1 A broadcast must fit 16 ymm registers, so 8x16 is excluded.
+ * AVX2+FMA micro-kernel: MR rows by NV 8-lane column vectors, reading
+ * rows of an A panel whose k-step stride is AS (MR unless the tile is
+ * a slice of a taller panel). The accumulation order over k matches
+ * the scalar template per element (one fused multiply-add per k
+ * step), so results are deterministic and partition-independent; vs
+ * the scalar fallback only the FMA rounding differs. Register budget:
+ * MR*NV accumulators + NV B loads + 1 A broadcast must fit 16 ymm
+ * registers, so an 8x16 tile does not fit in one pass (see
+ * microKernelAvx2x8x16; the 32 zmm registers of the 512-bit kernels
+ * below do hold it).
  */
-template <int MR, int NV>
+template <int MR, int NV, int AS = MR>
 TAMRES_TARGET_AVX2 void
 microKernelAvx2(int kc, const float *ap, const float *bp, float *c,
                 int ldc)
@@ -411,7 +425,7 @@ microKernelAvx2(int kc, const float *ap, const float *bp, float *c,
         __m256 b[NV];
         for (int v = 0; v < NV; ++v)
             b[v] = _mm256_loadu_ps(bp + k * NR + v * 8);
-        const float *a = ap + k * MR;
+        const float *a = ap + k * AS;
         for (int i = 0; i < MR; ++i) {
             const __m256 av = _mm256_broadcast_ss(a + i);
             for (int v = 0; v < NV; ++v)
@@ -427,6 +441,18 @@ microKernelAvx2(int kc, const float *ap, const float *bp, float *c,
     }
 }
 
+/**
+ * 8x16 on ymm as two 4x16 passes over the 8-row A panel: per element
+ * the same arithmetic as a single pass, with 8 accumulators each.
+ */
+TAMRES_TARGET_AVX2 void
+microKernelAvx2x8x16(int kc, const float *ap, const float *bp, float *c,
+                     int ldc)
+{
+    microKernelAvx2<4, 2, 8>(kc, ap, bp, c, ldc);
+    microKernelAvx2<4, 2, 8>(kc, ap + 4, bp, c + 4 * ldc, ldc);
+}
+
 MicroFn
 microDispatchAvx2(int mr, int nr)
 {
@@ -440,7 +466,62 @@ microDispatchAvx2(int mr, int nr)
       case 608: return microKernelAvx2<6, 1>;
       case 616: return microKernelAvx2<6, 2>;
       case 808: return microKernelAvx2<8, 1>;
-      default: return nullptr; // nr=4 and 8x16 stay scalar
+      case 816: return microKernelAvx2x8x16;
+      default: return nullptr; // nr=4 stays scalar
+    }
+}
+
+/**
+ * AVX-512F micro-kernel: NA*MR rows by NB 16-lane column vectors.
+ * One 4x16 zmm tile has only 4 accumulators and stalls on FMA
+ * latency, so the callers hand each call several A and B panels
+ * (8 rows x 32 columns at mr = 4: 16 independent accumulators; the
+ * budget is NA*MR*NB accumulators + NB B loads + 1 broadcast within
+ * 32 zmm registers). Per element this is the AVX2 kernels' arithmetic
+ * exactly — zeroed accumulator, one FMA per k in ascending order, one
+ * add into C — so the output is bitwise identical to the 256-bit path.
+ */
+template <int MR, int NA, int NB>
+TAMRES_TARGET_AVX512 void
+microKernelAvx512(int kc, const float *ap, const float *bp, float *c,
+                  int ldc, int rows, int cols)
+{
+    constexpr int R = MR * NA;
+    const size_t astep = static_cast<size_t>(MR) * kc;
+    const size_t bstep = static_cast<size_t>(16) * kc;
+    __m512 acc[R][NB];
+    for (int r = 0; r < R; ++r)
+        for (int v = 0; v < NB; ++v)
+            acc[r][v] = _mm512_setzero_ps();
+    for (int k = 0; k < kc; ++k) {
+        __m512 b[NB];
+        for (int v = 0; v < NB; ++v)
+            b[v] = _mm512_loadu_ps(bp + v * bstep + k * 16);
+        for (int p = 0; p < NA; ++p) {
+            const float *a = ap + p * astep + k * MR;
+            for (int i = 0; i < MR; ++i) {
+                const __m512 av = _mm512_set1_ps(a[i]);
+                for (int v = 0; v < NB; ++v)
+                    acc[p * MR + i][v] =
+                        _mm512_fmadd_ps(av, b[v], acc[p * MR + i][v]);
+            }
+        }
+    }
+    __mmask16 mask[NB];
+    for (int v = 0; v < NB; ++v) {
+        const int left = std::clamp(cols - v * 16, 0, 16);
+        mask[v] = static_cast<__mmask16>((1u << left) - 1);
+    }
+    for (int r = 0; r < R; ++r) {
+        if (r >= rows)
+            break;
+        for (int v = 0; v < NB; ++v) {
+            float *dst = c + static_cast<int64_t>(r) * ldc + v * 16;
+            _mm512_mask_storeu_ps(
+                dst, mask[v],
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask[v], dst),
+                              acc[r][v]));
+        }
     }
 }
 
@@ -503,16 +584,16 @@ microDispatchNeon(int mr, int nr)
 #endif // TAMRES_SIMD_NEON
 
 /**
- * Best micro-kernel for (mr, nr) at the active SIMD level, falling
- * back to the scalar template when the level has no vector variant
- * for that shape. Returns nullptr only for unsupported pairs (the
- * validity predicate uses the scalar table, so a valid config always
+ * Best micro-kernel for (mr, nr) at @p level, falling back to the
+ * scalar template when the level has no vector variant for that
+ * shape. Returns nullptr only for unsupported pairs (the validity
+ * predicate uses the scalar table, so a valid config always
  * dispatches at every level).
  */
 MicroFn
-microDispatch(int mr, int nr)
+microDispatch(SimdLevel level, int mr, int nr)
 {
-    switch (simdLevel()) {
+    switch (level) {
 #if TAMRES_SIMD_X86
       case SimdLevel::Avx2:
         if (MicroFn fn = microDispatchAvx2(mr, nr))
@@ -529,6 +610,58 @@ microDispatch(int mr, int nr)
         break;
     }
     return microDispatchScalar(mr, nr);
+}
+
+/**
+ * The fp32 GEMM kernels for one (mr, nr), resolved once per conv
+ * invocation from one read of the dispatch state and handed down to
+ * every worker, so a concurrent level or switch change can never mix
+ * kernel flavors inside one output.
+ */
+struct GemmKernels
+{
+    MicroFn micro = nullptr; //!< one mr x nr tile (full-tile stores)
+    /**
+     * 512-bit kernels indexed [more than one A panel][two B panels];
+     * null off the AVX-512F path (nr != 16, or the switch is off).
+     */
+    WideFn wide[2][2] = {};
+    int wide_panels = 1; //!< A panels per wide[1][*] call
+};
+
+#if TAMRES_SIMD_X86
+/** 512-bit kernel set taking NA A panels per full-height call. */
+template <int MR, int NA>
+GemmKernels
+wideKernels(MicroFn micro)
+{
+    return {micro,
+            {{microKernelAvx512<MR, 1, 1>, microKernelAvx512<MR, 1, 2>},
+             {microKernelAvx512<MR, NA, 1>,
+              microKernelAvx512<MR, NA, 2>}},
+            NA};
+}
+#endif
+
+GemmKernels
+gemmKernels(int mr, int nr)
+{
+    const SimdLevel level = simdLevel();
+    const MicroFn micro = microDispatch(level, mr, nr);
+#if TAMRES_SIMD_X86
+    // Up to 8 rows x 32 columns per call: 16 zmm accumulators.
+    if (level == SimdLevel::Avx2 && nr == 16 && simdAvx512()) {
+        switch (mr) {
+          case 1: return wideKernels<1, 8>(micro);
+          case 2: return wideKernels<2, 4>(micro);
+          case 4: return wideKernels<4, 2>(micro);
+          case 6: return wideKernels<6, 1>(micro);
+          case 8: return wideKernels<8, 1>(micro);
+          default: break;
+        }
+    }
+#endif
+    return {micro};
 }
 
 /**
@@ -651,7 +784,8 @@ packABlock(const float *a, int lda, int icb, int pc, int mb, int kb,
 void blockedGemmMultiBRange(int M, int N_per, int K,
                             const float *const *bmats,
                             float *const *cmats, int64_t c0, int64_t c1,
-                            const ConvConfig &cfg, MicroFn micro,
+                            const ConvConfig &cfg,
+                            const GemmKernels &kern,
                             const PackedGemmA *prea, const float *a);
 
 /**
@@ -667,19 +801,20 @@ void blockedGemmMultiBRange(int M, int N_per, int K,
  * @p ld, columns [0, N)), so panel packing, prepack indexing and
  * edge-tile handling exist exactly once.
  *
- * @p micro is resolved by the top-level caller (one simdLevel() read
- * per conv invocation, per the dispatch contract) so a concurrent
- * level override can never mix kernel flavors inside one output —
- * worker threads of the parallel variants inherit the caller's pick.
+ * @p kern is resolved by the top-level caller (gemmKernels: one read
+ * of the dispatch state per conv invocation, per the dispatch
+ * contract) so a concurrent level override can never mix kernel
+ * flavors inside one output — worker threads of the parallel variants
+ * inherit the caller's pick.
  */
 void
 blockedGemm(int M, int N, int K, const float *a, const float *b,
-            float *c, const ConvConfig &cfg, int ld, MicroFn micro,
-            const PackedGemmA *prea = nullptr)
+            float *c, const ConvConfig &cfg, int ld,
+            const GemmKernels &kern, const PackedGemmA *prea = nullptr)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     (void)nc;
-    tamres_assert(micro, "unsupported micro-kernel %dx%d", cfg.mr,
+    tamres_assert(kern.micro, "unsupported micro-kernel %dx%d", cfg.mr,
                   cfg.nr);
     tamres_assert(!prea ||
                       (prea->M == M && prea->K == K && prea->mc == mc &&
@@ -687,7 +822,7 @@ blockedGemm(int M, int N, int K, const float *a, const float *b,
                   "prepacked A does not match this GEMM's blocking");
     const float *bmats[1] = {b};
     float *cmats[1] = {c};
-    blockedGemmMultiBRange(M, ld, K, bmats, cmats, 0, N, cfg, micro,
+    blockedGemmMultiBRange(M, ld, K, bmats, cmats, 0, N, cfg, kern,
                            prea, a);
 }
 
@@ -702,17 +837,18 @@ blockedGemm(int M, int N, int K, const float *a, const float *b,
 void
 blockedGemmParallel(int M, int N, int K, const float *a, const float *b,
                     float *c, const ConvConfig &cfg, int threads,
-                    MicroFn micro, const PackedGemmA *prea = nullptr)
+                    const GemmKernels &kern,
+                    const PackedGemmA *prea = nullptr)
 {
     if (threads <= 1 || N < 2 * cfg.nr) {
-        blockedGemm(M, N, K, a, b, c, cfg, N, micro, prea);
+        blockedGemm(M, N, K, a, b, c, cfg, N, kern, prea);
         return;
     }
     ThreadPool::global().parallelFor(
         N,
         [&](int64_t j0, int64_t j1) {
             blockedGemm(M, static_cast<int>(j1 - j0), K, a, b + j0,
-                        c + j0, cfg, N, micro, prea);
+                        c + j0, cfg, N, kern, prea);
         },
         threads);
 }
@@ -736,17 +872,26 @@ blockedGemmParallel(int M, int N, int K, const float *a, const float *b,
  * matter how columns are grouped into panels or partitioned across
  * workers — so the result is bit-identical to nimg separate
  * blockedGemm calls at any thread count.
+ *
+ * Register tiles: the AVX2/NEON/scalar micro-kernels cover one
+ * mr x nr tile per call. On the AVX-512F path (kern.wide set) a call
+ * covers up to kern.wide_panels A panels by two B panels and stores
+ * its row and column tails through masks; either way a tile that
+ * straddles an image boundary scatters through the mr x nr scratch.
+ * The per-element arithmetic is the same in every case.
  */
 void
 blockedGemmMultiBRange(int M, int N_per, int K,
                        const float *const *bmats, float *const *cmats,
                        int64_t c0, int64_t c1, const ConvConfig &cfg,
-                       MicroFn micro, const PackedGemmA *prea,
+                       const GemmKernels &kern, const PackedGemmA *prea,
                        const float *a)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     const int mr = cfg.mr;
     const int nr = cfg.nr;
+    const bool wide = kern.wide[0][0] != nullptr;
+    const int jstep = wide ? 2 * nr : nr;
 
     Scratch &s = scratch();
     if (!prea)
@@ -808,45 +953,66 @@ blockedGemmMultiBRange(int M, int N_per, int K,
                                s.apack.data());
                     apanels = s.apack.data();
                 }
-                for (int jr = 0; jr < nb_pad; jr += nr) {
+                // Scatter one mr x nr tile at (row ir, column jr)
+                // through the accumulation scratch.
+                auto scatterTile = [&](int ir, int jr) {
+                    const int rows = std::min(mr, mb - ir);
+                    const int cols = std::min(nr, nb - jr);
+                    std::fill(s.ctile.begin(), s.ctile.end(), 0.0f);
+                    kern.micro(kb, apanels + static_cast<size_t>(ir) * kb,
+                               s.bpack.data() +
+                                   static_cast<size_t>(jr) * kb,
+                               s.ctile.data(), nr);
+                    for (int i = 0; i < rows; ++i) {
+                        for (int j = 0; j < cols; ++j) {
+                            const int64_t g = jc + jr + j;
+                            cmats[g / N_per]
+                                 [static_cast<int64_t>(i0 + ir + i) *
+                                      N_per +
+                                  g % N_per] += s.ctile[i * nr + j];
+                        }
+                    }
+                };
+                for (int jr = 0; jr < nb_pad; jr += jstep) {
                     const float *bp =
                         s.bpack.data() + static_cast<size_t>(jr) * kb;
-                    const int jw = std::min(nr, nb - jr);
+                    const int jw = std::min(jstep, nb - jr);
                     const int64_t g0 = jc + jr;
                     // Direct store only when the whole tile lands in
                     // one image's C matrix; tiles crossing an image
                     // boundary (at most nimg - 1 per panel sweep)
                     // scatter through the accumulation scratch.
                     const bool one_img =
-                        jw > 0 && g0 / N_per == (g0 + jw - 1) / N_per;
+                        g0 / N_per == (g0 + jw - 1) / N_per;
                     float *cimg =
                         one_img ? cmats[g0 / N_per] + g0 % N_per
                                 : nullptr;
-                    for (int ir = 0; ir < mb_pad; ir += mr) {
+                    for (int ir = 0; ir < mb_pad;) {
                         const float *ap =
                             apanels + static_cast<size_t>(ir) * kb;
-                        const int iw_rows = std::min(mr, mb - ir);
-                        if (one_img && iw_rows == mr && jw == nr) {
-                            micro(kb, ap, bp,
-                                  cimg + static_cast<int64_t>(i0 + ir) *
-                                             N_per,
-                                  N_per);
+                        const int na =
+                            wide && mb_pad - ir >= kern.wide_panels * mr
+                                ? kern.wide_panels
+                                : 1;
+                        const int iw_rows = std::min(na * mr, mb - ir);
+                        float *crow =
+                            one_img ? cimg + static_cast<int64_t>(i0 +
+                                                                  ir) *
+                                                 N_per
+                                    : nullptr;
+                        if (one_img && wide) {
+                            kern.wide[na > 1][jw > nr](
+                                kb, ap, bp, crow, N_per, iw_rows, jw);
+                        } else if (one_img && iw_rows == mr &&
+                                   jw == nr) {
+                            kern.micro(kb, ap, bp, crow, N_per);
                         } else {
-                            std::fill(s.ctile.begin(), s.ctile.end(),
-                                      0.0f);
-                            micro(kb, ap, bp, s.ctile.data(), nr);
-                            for (int i = 0; i < iw_rows; ++i) {
-                                for (int j = 0; j < jw; ++j) {
-                                    const int64_t g = g0 + j;
-                                    cmats[g / N_per]
-                                         [(static_cast<int64_t>(i0 +
-                                                                ir + i)) *
-                                              N_per +
-                                          g % N_per] +=
-                                        s.ctile[i * nr + j];
-                                }
-                            }
+                            for (int p = 0; p < na; ++p)
+                                for (int v = 0; v * nr < jw; ++v)
+                                    scatterTile(ir + p * mr,
+                                                jr + v * nr);
                         }
+                        ir += na * mr;
                     }
                 }
             }
@@ -863,12 +1029,13 @@ blockedGemmMultiBRange(int M, int N_per, int K,
 void
 blockedGemmMultiB(int M, int N_per, int K, int nimg,
                   const float *const *bmats, float *const *cmats,
-                  const ConvConfig &cfg, int threads, MicroFn micro,
-                  const PackedGemmA *prea, const float *a)
+                  const ConvConfig &cfg, int threads,
+                  const GemmKernels &kern, const PackedGemmA *prea,
+                  const float *a)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     (void)nc;
-    tamres_assert(micro, "unsupported micro-kernel %dx%d", cfg.mr,
+    tamres_assert(kern.micro, "unsupported micro-kernel %dx%d", cfg.mr,
                   cfg.nr);
     tamres_assert(!prea ||
                       (prea->M == M && prea->K == K && prea->mc == mc &&
@@ -877,14 +1044,14 @@ blockedGemmMultiB(int M, int N_per, int K, int nimg,
     const int64_t total = static_cast<int64_t>(nimg) * N_per;
     if (threads <= 1 || total < 2 * cfg.nr) {
         blockedGemmMultiBRange(M, N_per, K, bmats, cmats, 0, total, cfg,
-                               micro, prea, a);
+                               kern, prea, a);
         return;
     }
     ThreadPool::global().parallelFor(
         total,
         [&](int64_t j0, int64_t j1) {
             blockedGemmMultiBRange(M, N_per, K, bmats, cmats, j0, j1,
-                                   cfg, micro, prea, a);
+                                   cfg, kern, prea, a);
         },
         threads);
 }
@@ -913,7 +1080,7 @@ im2colKernel(const ConvProblem &p, const float *in, const float *w,
         p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0;
 
     // One dispatch read for the whole conv call.
-    const MicroFn micro = microDispatch(cfg.mr, cfg.nr);
+    const GemmKernels kern = gemmKernels(cfg.mr, cfg.nr);
 
     const int threads = effectiveThreads(cfg);
     const int64_t outer = static_cast<int64_t>(p.n) * p.groups;
@@ -968,7 +1135,7 @@ im2colKernel(const ConvProblem &p, const float *in, const float *w,
                 }
             }
             blockedGemmMultiB(
-                ocg, N, K, p.n, bmats, cmats, cfg, threads, micro,
+                ocg, N, K, p.n, bmats, cmats, cfg, threads, kern,
                 packed ? &packed->mats[g] : nullptr,
                 w ? w + static_cast<int64_t>(g) * ocg * K : nullptr);
         }
@@ -1001,9 +1168,9 @@ im2colKernel(const ConvProblem &p, const float *in, const float *w,
         const PackedGemmA *prea = packed ? &packed->mats[g] : nullptr;
         if (gemm_parallel)
             blockedGemmParallel(ocg, N, K, abase, bmat, cbase, cfg,
-                                threads, micro, prea);
+                                threads, kern, prea);
         else
-            blockedGemm(ocg, N, K, abase, bmat, cbase, cfg, N, micro,
+            blockedGemm(ocg, N, K, abase, bmat, cbase, cfg, N, kern,
                         prea);
     };
 
@@ -1259,7 +1426,7 @@ winogradKernel(const ConvProblem &p, const float *in, const float *w,
     const int tb = std::max(4, cfg.wino_tile_block);
     // One dispatch read for the whole conv call; workers inherit it.
     const bool vec = simdLevel() != SimdLevel::Scalar;
-    const MicroFn micro = microDispatch(cfg.mr, cfg.nr);
+    const GemmKernels kern = gemmKernels(cfg.mr, cfg.nr);
 
     // Prepacked weights skip both the per-call weight transform and
     // the per-GEMM A packing; otherwise transform into scratch.
@@ -1328,7 +1495,7 @@ winogradKernel(const ConvProblem &p, const float *in, const float *w,
                                            tcount,
                             m.data() + static_cast<size_t>(k) * p.oc *
                                            tcount,
-                            cfg, tcount, micro,
+                            cfg, tcount, kern,
                             packed ? &packed->mats[k] : nullptr);
             }
             // Inverse transform + scatter.

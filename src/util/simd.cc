@@ -90,6 +90,39 @@ activeVnni()
     return on;
 }
 
+bool
+probeAvx512()
+{
+#if TAMRES_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
+    return simdDetected() == SimdLevel::Avx2 &&
+           __builtin_cpu_supports("avx512f");
+#else
+    return false;
+#endif
+}
+
+/** Initial AVX-512F switch: detection, off under any TAMRES_SIMD cap. */
+bool
+initialAvx512()
+{
+    if (!simdAvx512Detected())
+        return false;
+    const char *v = std::getenv("TAMRES_SIMD");
+    if (!v || !*v)
+        return true;
+    for (const char *cap : {"off", "scalar", "0", "avx2", "neon"})
+        if (std::strcmp(v, cap) == 0)
+            return false;
+    return true;
+}
+
+std::atomic<bool> &
+activeAvx512()
+{
+    static std::atomic<bool> on{initialAvx512()};
+    return on;
+}
+
 } // namespace
 
 SimdLevel
@@ -133,6 +166,28 @@ setSimdVnni(bool on)
     if (on && !simdVnniDetected())
         on = false;
     activeVnni().store(on, std::memory_order_relaxed);
+    return on;
+}
+
+bool
+simdAvx512Detected()
+{
+    static const bool detected = probeAvx512();
+    return detected;
+}
+
+bool
+simdAvx512()
+{
+    return activeAvx512().load(std::memory_order_relaxed);
+}
+
+bool
+setSimdAvx512(bool on)
+{
+    if (on && !simdAvx512Detected())
+        on = false;
+    activeAvx512().store(on, std::memory_order_relaxed);
     return on;
 }
 

@@ -23,13 +23,24 @@
  *    the detected maximum) so tests and benches can compare paths in
  *    one process; SimdLevelGuard is the RAII form. Do not flip the
  *    level concurrently with kernel execution.
+ *  - Sub-features refine the Avx2 level without being levels of their
+ *    own: VNNI (int8 vpdpbusd, below) and AVX-512F (512-bit fp32 GEMM
+ *    register tiles for every nr == 16 micro-kernel). Each has a
+ *    probe, an active switch, a clamped setter and an RAII guard, and
+ *    runs only while the active level is Avx2. An explicit
+ *    TAMRES_SIMD=avx2 (or off) caps the process at 256-bit lanes, so
+ *    it also starts the AVX-512F switch off; the default turns it on
+ *    wherever it is detected.
  *
  * Numerics: SIMD paths are bit-identical to their scalar fallbacks
  * whenever they use only the same adds/subs/shuffles (e.g. the
  * winograd tile transforms, elementwise add/relu). Paths that fuse
  * multiply-adds (GEMM microkernels, color conversion) may round
  * differently from the scalar fallback; every path individually stays
- * deterministic and bit-identical across thread counts.
+ * deterministic and bit-identical across thread counts. The AVX-512F
+ * GEMM tiles keep the AVX2 kernels' per-element arithmetic (zeroed
+ * accumulator, one FMA per k in ascending order, one add into C), so
+ * they are bitwise identical to the AVX2 path, not merely close.
  */
 
 #ifndef TAMRES_UTIL_SIMD_HH
@@ -61,8 +72,16 @@
  */
 #define TAMRES_TARGET_AVX2VNNI \
     __attribute__((target("avx2,fma,avx512vnni,avx512vl")))
+/**
+ * Marks a function compiled for AVX-512F (512-bit float lanes, mask
+ * registers) on top of AVX2+FMA. Only executed while the active level
+ * is Avx2 and simdAvx512() is on (so the host has AVX-512F with
+ * OS-enabled ZMM state).
+ */
+#define TAMRES_TARGET_AVX512 __attribute__((target("avx512f,avx2,fma")))
 #else
 #define TAMRES_TARGET_AVX2VNNI
+#define TAMRES_TARGET_AVX512
 #endif
 
 namespace tamres {
@@ -128,6 +147,30 @@ inline bool simdVnniActive()
     return simdLevel() == SimdLevel::Avx2 && simdVnni();
 }
 
+/**
+ * Whether the host supports AVX-512F with the OS saving ZMM state
+ * (both are part of __builtin_cpu_supports("avx512f")), probed once.
+ * Like VNNI, a sub-feature of the Avx2 level: the fp32 GEMM runs
+ * 512-bit register tiles for nr == 16 configs inside the Avx2 branch
+ * when this (and the runtime switch below) allows it. Always false
+ * off x86.
+ */
+bool simdAvx512Detected();
+
+/**
+ * The active AVX-512F switch: starts at simdAvx512Detected(), off
+ * when TAMRES_SIMD names an explicit cap ("avx2", "off"/"scalar"/"0",
+ * "neon"). Cheap relaxed atomic load.
+ */
+bool simdAvx512();
+
+/**
+ * Enable/disable the AVX-512F sub-feature at runtime (clamped to the
+ * detection). Returns the value actually applied. Lets tests compare
+ * the 512-bit and 256-bit GEMM tiles bitwise in one process.
+ */
+bool setSimdAvx512(bool on);
+
 /** RAII override for tests/benches comparing dispatch paths. */
 class SimdLevelGuard
 {
@@ -157,6 +200,23 @@ class SimdVnniGuard
     ~SimdVnniGuard() { setSimdVnni(prev_); }
     SimdVnniGuard(const SimdVnniGuard &) = delete;
     SimdVnniGuard &operator=(const SimdVnniGuard &) = delete;
+
+  private:
+    bool prev_;
+};
+
+/** RAII override of the AVX-512F sub-feature switch. */
+class SimdAvx512Guard
+{
+  public:
+    explicit SimdAvx512Guard(bool on)
+        : prev_(simdAvx512())
+    {
+        setSimdAvx512(on);
+    }
+    ~SimdAvx512Guard() { setSimdAvx512(prev_); }
+    SimdAvx512Guard(const SimdAvx512Guard &) = delete;
+    SimdAvx512Guard &operator=(const SimdAvx512Guard &) = delete;
 
   private:
     bool prev_;

@@ -160,6 +160,35 @@ TEST(BatchedPlan, BitIdenticalPerItemAcrossArchLevelsAndThreads)
     }
 }
 
+TEST(BatchedPlan, WideTilesBatchFourEqualsFourBatchOne)
+{
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    // 56 px: N = 784, 196, 49 and 16 columns per image, so the merged
+    // batch-4 GEMMs put 512-bit tiles across image boundaries.
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    SimdLevelGuard level(SimdLevel::Avx2);
+    SimdAvx512Guard wide(true);
+    const Tensor batched = randomInput(56, 23, 4);
+    std::vector<Tensor> refs;
+    {
+        ThreadsEnv env(1);
+        for (int i = 0; i < 4; ++i)
+            refs.push_back(g->run(itemOf(batched, i)));
+    }
+    for (const int threads : {1, 4}) {
+        ThreadsEnv env(threads);
+        const Tensor out = g->run(batched);
+        ASSERT_EQ(out.dim(0), 4);
+        const int64_t per = out.numel() / 4;
+        for (int i = 0; i < 4; ++i)
+            EXPECT_TRUE(bitIdentical(out.data() + i * per,
+                                     refs[i].data(), per))
+                << "item " << i << ", " << threads << " threads";
+    }
+}
+
 TEST(BatchedPlan, GroupedConvBatchMatchesReference)
 {
     // The merged-column GEMM handles grouped convolutions per group;

@@ -20,14 +20,19 @@
  *     level (the FMA paths round differently but must agree closely).
  *
  * Also verifies prepacked-weight execution is bit-identical to the
- * on-the-fly packing path for both im2col and winograd, and that the
- * forced-scalar override actually changes the dispatch.
+ * on-the-fly packing path for both im2col and winograd, that the
+ * forced-scalar override actually changes the dispatch, and — on
+ * AVX-512F hosts — that the 512-bit nr == 16 GEMM tiles are bitwise
+ * equal to the 256-bit AVX2 path across every tail the macro-kernel
+ * has (column, row, k, image-boundary, thread-partition).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/conv_kernels.hh"
@@ -325,6 +330,133 @@ TEST(GemmMicro, PackCountMovesOnlyOnPack)
     convForwardPrepacked(p, in.data(), packed, nullptr, out.data());
     EXPECT_EQ(convWeightPackCount(), steady)
         << "prepacked execution must not pack weights";
+}
+
+// --- 512-bit tiles vs the 256-bit path ------------------------------
+
+/**
+ * One conv at the Avx2 level with the AVX-512F GEMM tiles on or off,
+ * through the on-the-fly (@p packed == nullptr) or prepacked path.
+ */
+std::vector<float>
+runAvx2(const ConvProblem &p, const ConvConfig &cfg, bool wide,
+        const std::vector<float> &in, const std::vector<float> &w,
+        const std::vector<float> &bias, const PackedConvWeights *packed)
+{
+    SimdLevelGuard level(SimdLevel::Avx2);
+    SimdAvx512Guard guard(wide);
+    std::vector<float> out(static_cast<size_t>(p.n) * p.oc * p.oh() *
+                           p.ow());
+    if (packed)
+        convForwardPrepacked(p, in.data(), *packed, bias.data(),
+                             out.data());
+    else
+        convForward(p, in.data(), w.data(), bias.data(), out.data(),
+                    cfg);
+    return out;
+}
+
+/**
+ * Expect the 512-bit and 256-bit paths to agree bitwise on (@p p,
+ * @p cfg), on-the-fly and prepacked, at 1 and 4 threads.
+ */
+void
+expectWideMatchesAvx2(const ConvProblem &p, ConvConfig cfg,
+                      uint64_t seed)
+{
+    ASSERT_TRUE(convConfigValid(p, cfg)) << cfg.toString();
+    const auto in = randomVec(
+        static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, seed);
+    const auto w = randomVec(static_cast<size_t>(p.oc) *
+                                 (p.ic / p.groups) * p.kh * p.kw,
+                             seed + 1, 0.5f);
+    const auto bias = randomVec(p.oc, seed + 2);
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        PackedConvWeights packed;
+        packConvWeights(p, cfg, w.data(), packed);
+        ASSERT_TRUE(packed.valid);
+        for (const bool prepacked : {false, true}) {
+            const PackedConvWeights *pk = prepacked ? &packed : nullptr;
+            const auto wide = runAvx2(p, cfg, true, in, w, bias, pk);
+            const auto narrow = runAvx2(p, cfg, false, in, w, bias, pk);
+            EXPECT_EQ(0, std::memcmp(wide.data(), narrow.data(),
+                                     wide.size() * sizeof(float)))
+                << "512-bit tiles differ from AVX2: " << p.key() << " "
+                << cfg.toString() << " threads=" << threads
+                << (prepacked ? " prepacked" : " on-the-fly");
+        }
+    }
+}
+
+TEST(GemmMicroAvx512, BitIdenticalToAvx2OnEveryTail)
+{
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    // M = 37 leaves a partial A panel and, at mc = 20, an odd panel
+    // count per block for every mr; K = 37 at kc = 16 leaves a 5-deep
+    // k block; N covers N % 32 == 0 (32, 64), == 16 (16, 48), 1..15
+    // past a full pair (33, 40, 47), a full panel plus a masked one
+    // (95), and N < 16 (3, 15). nc = 40 cuts panels mid-pair.
+    for (const int mr : {1, 2, 4, 6, 8}) {
+        for (const int n : {3, 15, 16, 32, 33, 40, 47, 48, 64, 95}) {
+            for (const auto &[mc, nc] :
+                 {std::pair{20, 40}, {64, 512}}) {
+                const ConvProblem p{.n = 1, .ic = 37, .ih = 1, .iw = n,
+                                    .oc = 37, .kh = 1, .kw = 1,
+                                    .stride = 1, .pad = 0};
+                ConvConfig cfg = microConfig(mr, 16);
+                cfg.mc = mc;
+                cfg.nc = nc;
+                expectWideMatchesAvx2(p, cfg, 31 + n);
+            }
+        }
+    }
+}
+
+TEST(GemmMicroAvx512, BitIdenticalToAvx2AcrossImageBoundaries)
+{
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    // Batched convs run one GEMM over the merged columns of every
+    // image, so tiles straddle image boundaries (pointwise: 3 x 7,
+    // 3 x 23, 3 x 40 columns; 3x3 im2col: 3 x 99). Winograd's 16
+    // GEMMs take the 512-bit tiles too.
+    for (const int mr : {1, 2, 4, 6, 8}) {
+        for (const int n : {7, 23, 40}) {
+            const ConvProblem p{.n = 3, .ic = 37, .ih = 1, .iw = n,
+                                .oc = 19, .kh = 1, .kw = 1,
+                                .stride = 1, .pad = 0};
+            expectWideMatchesAvx2(p, microConfig(mr, 16), 41 + n);
+        }
+        const ConvProblem conv{.n = 3, .ic = 5, .ih = 9, .iw = 11,
+                               .oc = 13, .kh = 3, .kw = 3, .stride = 1,
+                               .pad = 1};
+        ConvConfig cfg = microConfig(mr, 16);
+        expectWideMatchesAvx2(conv, cfg, 51);
+        cfg.algo = ConvAlgo::Winograd;
+        expectWideMatchesAvx2(conv, cfg, 52);
+    }
+}
+
+TEST(GemmMicroAvx512, SwitchClampsToDetectionAndHonorsTheEnvCap)
+{
+    const bool prev = simdAvx512();
+    EXPECT_EQ(setSimdAvx512(true), simdAvx512Detected());
+    EXPECT_FALSE(setSimdAvx512(false));
+    {
+        SimdAvx512Guard guard(true);
+        EXPECT_EQ(simdAvx512(), simdAvx512Detected());
+    }
+    EXPECT_FALSE(simdAvx512());
+    setSimdAvx512(prev);
+    // An explicit TAMRES_SIMD cap starts the 512-bit tiles off.
+    const char *cap = std::getenv("TAMRES_SIMD");
+    if (cap && (std::string(cap) == "avx2" || std::string(cap) == "off")) {
+        EXPECT_FALSE(simdAvx512()) << "TAMRES_SIMD=" << cap;
+    } else if (!cap) {
+        EXPECT_EQ(simdAvx512(), simdAvx512Detected());
+    }
 }
 
 TEST(GemmMicro, EnvOverrideNameRoundTrip)

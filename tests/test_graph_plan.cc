@@ -24,6 +24,7 @@
 #include "tensor/tensor_ops.hh"
 #include "tests/threads_env.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 // --- Counting global allocator ---------------------------------------
 //
@@ -344,6 +345,60 @@ TEST(GraphPlanAlloc, SteadyStateAllocationFreePerResolution)
     g->runInto(in64, out64);
     const uint64_t after = g_alloc_count.load();
     EXPECT_EQ(after - before, 0u);
+}
+
+// --- 512-bit GEMM tiles ----------------------------------------------
+
+TEST(GraphPlanAvx512, PlannedOutputBitIdenticalWithWideTilesOnAndOff)
+{
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    // Two serving-grid shapes; 160 px has the 10x10 and 5x5 maps whose
+    // N = 100 and 25 exercise the masked column tails.
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    SimdLevelGuard level(SimdLevel::Avx2);
+    for (const int res : {96, 160}) {
+        const Tensor in = randomInput(res, 40 + res);
+        for (const int threads : {1, 4}) {
+            ThreadsEnv env(threads);
+            Tensor wide, narrow;
+            {
+                SimdAvx512Guard guard(true);
+                g->runInto(in, wide);
+            }
+            {
+                SimdAvx512Guard guard(false);
+                g->runInto(in, narrow);
+            }
+            EXPECT_TRUE(bitIdentical(wide, narrow))
+                << res << " px, " << threads << " threads";
+        }
+    }
+}
+
+TEST(GraphPlanAvx512, SteadyStateRunIntoAllocAndPackFreeWithWideTiles)
+{
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    ThreadsEnv env(1);
+    SimdLevelGuard level(SimdLevel::Avx2);
+    SimdAvx512Guard wide(true);
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    const Tensor in = randomInput(96, 19);
+    Tensor out;
+    g->runInto(in, out); // compiles the plan and packs the weights
+    g->runInto(in, out); // warms the kernels' grow-only scratch
+
+    const uint64_t packs = convWeightPackCount();
+    const uint64_t allocs = g_alloc_count.load();
+    for (int i = 0; i < 3; ++i)
+        g->runInto(in, out);
+    EXPECT_EQ(g_alloc_count.load() - allocs, 0u)
+        << "heap allocations in 3 steady-state runs";
+    EXPECT_EQ(convWeightPackCount(), packs)
+        << "steady-state planned runs must not pack weights";
 }
 
 // --- Prepacked weights -----------------------------------------------
