@@ -672,7 +672,6 @@ gemmKernels(int mr, int nr)
  */
 struct Scratch
 {
-    std::vector<float> im2col;
     std::vector<float> apack;
     std::vector<float> bpack;
     std::vector<float> ctile;
@@ -691,55 +690,6 @@ scratch()
 {
     thread_local Scratch s;
     return s;
-}
-
-/**
- * Build the full im2col matrix for one (batch, group):
- * B[K = icg*kh*kw][N = oh*ow], row-major.
- */
-void
-im2col(const ConvProblem &p, const float *in, int n, int g, float *col)
-{
-    const int oh = p.oh();
-    const int ow = p.ow();
-    const int icg = p.ic / p.groups;
-    const int N = oh * ow;
-    for (int ic = 0; ic < icg; ++ic) {
-        const int ic_abs = g * icg + ic;
-        const float *iplane =
-            in + ((static_cast<int64_t>(n) * p.ic + ic_abs) * p.ih) *
-                     p.iw;
-        for (int ky = 0; ky < p.kh; ++ky) {
-            for (int kx = 0; kx < p.kw; ++kx) {
-                float *crow =
-                    col + (static_cast<int64_t>(ic) * p.kh * p.kw +
-                           ky * p.kw + kx) * N;
-                for (int y = 0; y < oh; ++y) {
-                    const int iy = y * p.stride + ky - p.pad;
-                    float *dst = crow + y * ow;
-                    if (iy < 0 || iy >= p.ih) {
-                        std::memset(dst, 0, sizeof(float) * ow);
-                        continue;
-                    }
-                    const float *irow = iplane + iy * p.iw;
-                    // Fast path: the whole output row maps inside the
-                    // input row (common for interior kx).
-                    const int x_lo_in = kx - p.pad; // ix at x = 0
-                    if (p.stride == 1 && x_lo_in >= 0 &&
-                        x_lo_in + ow <= p.iw) {
-                        std::memcpy(dst, irow + x_lo_in,
-                                    sizeof(float) * ow);
-                        continue;
-                    }
-                    for (int x = 0; x < ow; ++x) {
-                        const int ix = x * p.stride + kx - p.pad;
-                        dst[x] = (ix < 0 || ix >= p.iw) ? 0.0f
-                                                        : irow[ix];
-                    }
-                }
-            }
-        }
-    }
 }
 
 /** Effective cache-block sizes (clamped so micro tiles always fit). */
@@ -781,85 +731,235 @@ packABlock(const float *a, int lda, int icb, int pc, int mb, int kb,
     g_weight_pack_count.fetch_add(1, std::memory_order_relaxed);
 }
 
-void blockedGemmMultiBRange(int M, int N_per, int K,
-                            const float *const *bmats,
-                            float *const *cmats, int64_t c0, int64_t c1,
-                            const ConvConfig &cfg,
-                            const GemmKernels &kern,
-                            const PackedGemmA *prea, const float *a);
+/**
+ * The B operand of a GEMM over a merged column space: column g belongs
+ * to image g / N_per, its column g % N_per, and image i's data starts
+ * at base + i * img_stride. Without a conv geometry that data is a
+ * K x N_per row-major matrix (a pointwise conv's input planes,
+ * Winograd's transformed tiles). With one it is the NCHW input from
+ * the group's first channel, read as the implicit im2col matrix: row k
+ * is the tap (ic, ky, kx), column (y, x) the output pixel, and a tap in
+ * the padding reads zero. The B-panel packers read it in place, so no
+ * column matrix is materialized at any batch size (the packing form of
+ * Goto & van de Geijn, ACM TOMS 2008; the indirect-convolution idea of
+ * Dukhan, arXiv:1907.02129).
+ */
+struct GemmB
+{
+    const float *base = nullptr;
+    int64_t img_stride = 0;
+    const ConvProblem *conv = nullptr;
+};
+
+/** Packs one k-major nr-wide B panel (see packMatrixPanel). */
+using PanelPackFn = void (*)(const GemmB &b, int N_per, int64_t g0,
+                             int jw, int pc, int kb, int nr, float *dst);
+
+/** The tap (ic, ky, kx) of implicit-im2col row k, stepped row by row. */
+struct Tap
+{
+    int ic, ky, kx;
+
+    Tap(const ConvProblem &p, int k)
+        : ic(k / (p.kh * p.kw)), ky(k / p.kw % p.kh), kx(k % p.kw)
+    {}
+
+    void
+    next(const ConvProblem &p)
+    {
+        if (++kx == p.kw) {
+            kx = 0;
+            if (++ky == p.kh) {
+                ky = 0;
+                ++ic;
+            }
+        }
+    }
+};
 
 /**
- * Blocked GEMM: C[M x N] += A[M x K] * B[K x N] (row-major; B and C
- * rows are @p ld floats apart, which lets callers operate on a column
- * slice of a wider matrix), GotoBLAS-style loop structure with packed
- * panels. When @p prea is non-null it supplies plan-prepacked A
- * panels (built by packGemmA for the same blocking) and A is neither
- * read nor packed here — the steady-state serving path.
- *
- * One loop nest serves every GEMM flavor: this is the nimg = 1 case
- * of the multi-B range kernel below (a single matrix of row stride
- * @p ld, columns [0, N)), so panel packing, prepack indexing and
- * edge-tile handling exist exactly once.
- *
- * @p kern is resolved by the top-level caller (gemmKernels: one read
- * of the dispatch state per conv invocation, per the dispatch
- * contract) so a concurrent level override can never mix kernel
- * flavors inside one output — worker threads of the parallel variants
- * inherit the caller's pick.
+ * Pack rows [pc, pc + kb) x columns [g0, g0 + jw) of a matrix B into
+ * one k-major nr-wide panel, zero-padding columns jw..nr. A panel
+ * whose columns all belong to one image reads contiguous rows; only
+ * panels straddling an image boundary resolve per column.
  */
 void
-blockedGemm(int M, int N, int K, const float *a, const float *b,
-            float *c, const ConvConfig &cfg, int ld,
-            const GemmKernels &kern, const PackedGemmA *prea = nullptr)
+packMatrixPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
+                int kb, int nr, float *dst)
 {
-    const auto [mc, kc, nc] = effectiveBlocking(cfg);
-    (void)nc;
-    tamres_assert(kern.micro, "unsupported micro-kernel %dx%d", cfg.mr,
-                  cfg.nr);
-    tamres_assert(!prea ||
-                      (prea->M == M && prea->K == K && prea->mc == mc &&
-                       prea->kc == kc && prea->mr == cfg.mr),
-                  "prepacked A does not match this GEMM's blocking");
-    const float *bmats[1] = {b};
-    float *cmats[1] = {c};
-    blockedGemmMultiBRange(M, ld, K, bmats, cmats, 0, N, cfg, kern,
-                           prea, a);
-}
-
-/**
- * Parallel GEMM: split C's columns across workers, each running the
- * serial blockedGemm on its slice with private packing scratch. Every
- * output element is produced by exactly one worker with the serial
- * accumulation order, so results are bit-identical for any partition.
- * Prepacked A panels are shared read-only by every worker, which also
- * removes the per-worker redundant A packing the on-the-fly path pays.
- */
-void
-blockedGemmParallel(int M, int N, int K, const float *a, const float *b,
-                    float *c, const ConvConfig &cfg, int threads,
-                    const GemmKernels &kern,
-                    const PackedGemmA *prea = nullptr)
-{
-    if (threads <= 1 || N < 2 * cfg.nr) {
-        blockedGemm(M, N, K, a, b, c, cfg, N, kern, prea);
+    if (g0 / N_per == (g0 + jw - 1) / N_per) {
+        const float *src = b.base + g0 / N_per * b.img_stride +
+                           static_cast<int64_t>(pc) * N_per + g0 % N_per;
+        for (int k = 0; k < kb; ++k) {
+            const float *row = src + static_cast<int64_t>(k) * N_per;
+            for (int j = 0; j < jw; ++j)
+                dst[k * nr + j] = row[j];
+            for (int j = jw; j < nr; ++j)
+                dst[k * nr + j] = 0.0f;
+        }
         return;
     }
-    ThreadPool::global().parallelFor(
-        N,
-        [&](int64_t j0, int64_t j1) {
-            blockedGemm(M, static_cast<int>(j1 - j0), K, a, b + j0,
-                        c + j0, cfg, N, kern, prea);
-        },
-        threads);
+    for (int j = 0; j < jw; ++j) {
+        const int64_t g = g0 + j;
+        const float *src = b.base + g / N_per * b.img_stride +
+                           static_cast<int64_t>(pc) * N_per + g % N_per;
+        for (int k = 0; k < kb; ++k)
+            dst[k * nr + j] = src[static_cast<int64_t>(k) * N_per];
+    }
+    for (int j = jw; j < nr; ++j)
+        for (int k = 0; k < kb; ++k)
+            dst[k * nr + j] = 0.0f;
 }
 
 /**
- * Multi-B GEMM: C[img] += A * B[img] for @p nimg same-shaped GEMMs
- * (each M x N_per), executed as ONE logical GEMM over the merged
- * column space [0, nimg * N_per) — global column g maps to image
- * g / N_per, column g % N_per.
+ * The same panel of an implicit im2col matrix (GemmB with a conv
+ * geometry), on every dispatch level. The columns split into runs that
+ * share an image and an output row; per k row, each run reads one
+ * input-row segment at the conv stride and writes zeros where the
+ * segment leaves the input.
+ */
+void
+packConvPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
+              int kb, int nr, float *dst)
+{
+    const ConvProblem &p = *b.conv;
+    const int ow = p.ow();
+    const int s = p.stride;
+    const int64_t plane = static_cast<int64_t>(p.ih) * p.iw;
+    struct Run
+    {
+        const float *img;
+        int j0, len, iy0, ix0;
+    };
+    Run runs[16]; // nr <= 16 columns, each run at least one
+    int nruns = 0;
+    int64_t img = g0 / N_per;
+    int pix = static_cast<int>(g0 % N_per);
+    for (int j = 0; j < jw;) {
+        if (pix == N_per) {
+            ++img;
+            pix = 0;
+        }
+        const int y = pix / ow;
+        const int x = pix % ow;
+        const int len = std::min(jw - j, ow - x);
+        runs[nruns++] = {b.base + img * b.img_stride, j, len,
+                         y * s - p.pad, x * s - p.pad};
+        j += len;
+        pix += len;
+    }
+    Tap tap(p, pc);
+    for (int k = 0; k < kb; ++k, tap.next(p)) {
+        float *d = dst + static_cast<size_t>(k) * nr;
+        for (int r = 0; r < nruns; ++r) {
+            const Run &run = runs[r];
+            float *o = d + run.j0;
+            const int iy = run.iy0 + tap.ky;
+            const int ix = run.ix0 + tap.kx;
+            // Run columns [lo, hi) read inside the input row.
+            int lo = 0;
+            int hi = 0;
+            const float *row = nullptr;
+            if (iy >= 0 && iy < p.ih) {
+                lo = std::min(run.len, ix >= 0 ? 0 : (s - 1 - ix) / s);
+                hi = std::max(lo, std::min(run.len,
+                                           (p.iw - ix + s - 1) / s));
+                row = run.img + tap.ic * plane +
+                      static_cast<int64_t>(iy) * p.iw;
+            }
+            for (int t = 0; t < lo; ++t)
+                o[t] = 0.0f;
+            for (int t = lo; t < hi; ++t)
+                o[t] = row[ix + t * s];
+            for (int t = hi; t < run.len; ++t)
+                o[t] = 0.0f;
+        }
+        for (int j = jw; j < nr; ++j)
+            d[j] = 0.0f;
+    }
+}
+
+#if TAMRES_SIMD_X86
+/**
+ * packConvPanel for nr == 16 on the AVX-512F path: one masked gather
+ * per k row. The lanes' offsets (relative to the panel's first image,
+ * which keeps them in int32 for any batch) and their output pixels'
+ * tap origins (iy0, ix0) are tabulated once per panel; per row the
+ * tap's offset is added and four compares mask off the lanes whose tap
+ * falls in the padding (masked lanes are not read and pack zero).
+ * Same values as the portable packer, at a fraction of its
+ * instructions per float.
+ */
+TAMRES_TARGET_AVX512 void
+packConvPanelAvx512(const GemmB &b, int N_per, int64_t g0, int jw,
+                    int pc, int kb, int /*nr == 16*/, float *dst)
+{
+    const ConvProblem &p = *b.conv;
+    const int ow = p.ow();
+    const int plane = p.ih * p.iw;
+    const int64_t img0 = g0 / N_per;
+    alignas(64) int32_t off[16] = {};
+    alignas(64) int32_t iy0[16] = {};
+    alignas(64) int32_t ix0[16] = {};
+    const int pix = static_cast<int>(g0 % N_per);
+    int img = 0;
+    int y = pix / ow;
+    int x = pix % ow;
+    for (int j = 0; j < jw; ++j) {
+        iy0[j] = y * p.stride - p.pad;
+        ix0[j] = x * p.stride - p.pad;
+        off[j] = static_cast<int32_t>(img * b.img_stride) +
+                 iy0[j] * p.iw + ix0[j];
+        if (++x == ow) {
+            x = 0;
+            if (++y == p.oh()) {
+                y = 0;
+                ++img;
+            }
+        }
+    }
+    const __mmask16 lanes = static_cast<__mmask16>((1u << jw) - 1);
+    const __m512i voff = _mm512_load_si512(off);
+    const __m512i viy = _mm512_load_si512(iy0);
+    const __m512i vix = _mm512_load_si512(ix0);
+    const __m512i vih = _mm512_set1_epi32(p.ih);
+    const __m512i viw = _mm512_set1_epi32(p.iw);
+    const __m512i zero = _mm512_setzero_si512();
+    const float *base = b.base + img0 * b.img_stride;
+    Tap tap(p, pc);
+    for (int k = 0; k < kb; ++k, tap.next(p)) {
+        const __m512i iy =
+            _mm512_add_epi32(viy, _mm512_set1_epi32(tap.ky));
+        const __m512i ix =
+            _mm512_add_epi32(vix, _mm512_set1_epi32(tap.kx));
+        __mmask16 m = _mm512_mask_cmpge_epi32_mask(lanes, iy, zero);
+        m = _mm512_mask_cmplt_epi32_mask(m, iy, vih);
+        m = _mm512_mask_cmpge_epi32_mask(m, ix, zero);
+        m = _mm512_mask_cmplt_epi32_mask(m, ix, viw);
+        const __m512i idx = _mm512_add_epi32(
+            voff,
+            _mm512_set1_epi32(tap.ic * plane + tap.ky * p.iw + tap.kx));
+        _mm512_storeu_ps(dst + static_cast<size_t>(k) * 16,
+                         _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m,
+                                                  idx, base, 4));
+    }
+}
+#endif
+
+/**
+ * Multi-B GEMM: C[img] += A * B[img] for same-shaped GEMMs (each
+ * M x N_per, row-major; C[img] at c + img * c_img_stride), executed as
+ * ONE logical GEMM over the merged column space — global column g maps
+ * to image g / N_per, column g % N_per. This range kernel covers
+ * merged columns [c0, c1) with the GotoBLAS loop structure over packed
+ * panels. When @p prea is non-null it supplies plan-prepacked A panels
+ * (built by packGemmA for the same blocking) and A is neither read nor
+ * packed here — the steady-state serving path. One loop nest serves
+ * every GEMM flavor (one image or many, matrix or implicit-im2col B),
+ * so panel packing, prepack indexing and edge-tile handling exist
+ * exactly once.
  *
- * Two genuine batch wins over nimg separate blockedGemm calls:
+ * Two genuine batch wins over one GEMM per image:
  *  - A panel blocks are streamed once per merged column panel instead
  *    of once per image, cutting weight traffic on the deep layers by
  *    up to the batch factor (their per-image GEMM has N_per << nc).
@@ -870,20 +970,21 @@ blockedGemmParallel(int M, int N, int K, const float *a, const float *b,
  * Bit-identity: every output element is accumulated k-block by
  * k-block in ascending pc order, with identical per-k arithmetic, no
  * matter how columns are grouped into panels or partitioned across
- * workers — so the result is bit-identical to nimg separate
- * blockedGemm calls at any thread count.
+ * workers — so the result is bit-identical to one GEMM per image at
+ * any thread count.
  *
  * Register tiles: the AVX2/NEON/scalar micro-kernels cover one
  * mr x nr tile per call. On the AVX-512F path (kern.wide set) a call
  * covers up to kern.wide_panels A panels by two B panels and stores
- * its row and column tails through masks; either way a tile that
- * straddles an image boundary scatters through the mr x nr scratch.
- * The per-element arithmetic is the same in every case.
+ * its row and column tails through masks. A tile that straddles an
+ * image boundary runs the same kernel into the zeroed ctile scratch
+ * and scatters from there. The per-element arithmetic is the same in
+ * every case.
  */
 void
-blockedGemmMultiBRange(int M, int N_per, int K,
-                       const float *const *bmats, float *const *cmats,
-                       int64_t c0, int64_t c1, const ConvConfig &cfg,
+blockedGemmMultiBRange(int M, int N_per, int K, const GemmB &b,
+                       float *c, int64_t c_img_stride, int64_t c0,
+                       int64_t c1, const ConvConfig &cfg,
                        const GemmKernels &kern, const PackedGemmA *prea,
                        const float *a)
 {
@@ -892,55 +993,28 @@ blockedGemmMultiBRange(int M, int N_per, int K,
     const int nr = cfg.nr;
     const bool wide = kern.wide[0][0] != nullptr;
     const int jstep = wide ? 2 * nr : nr;
+    PanelPackFn pack = b.conv ? packConvPanel : packMatrixPanel;
+#if TAMRES_SIMD_X86
+    // The 512-bit conv packer's int32 lane offsets span at most nr
+    // images.
+    if (wide && b.conv && nr * b.img_stride <= INT32_MAX)
+        pack = packConvPanelAvx512;
+#endif
 
     Scratch &s = scratch();
     if (!prea)
         s.apack.resize((static_cast<size_t>(mc) + mr) * kc);
     s.bpack.resize((static_cast<size_t>(nc) + nr) * kc);
-    s.ctile.resize(static_cast<size_t>(mr) * nr);
+    s.ctile.resize(static_cast<size_t>(kern.wide_panels) * mr * jstep);
 
     for (int64_t jc = c0; jc < c1; jc += nc) {
         const int nb = static_cast<int>(std::min<int64_t>(nc, c1 - jc));
         const int nb_pad = (nb + nr - 1) / nr * nr;
         for (int pc = 0, pcb = 0; pc < K; pc += kc, ++pcb) {
             const int kb = std::min(kc, K - pc);
-            // Pack B panels. A panel whose columns all belong to one
-            // image reads contiguous rows (the hot k-outer order the
-            // single-matrix GEMM always had); only the few panels
-            // straddling an image boundary resolve per column.
-            for (int jr = 0; jr < nb_pad; jr += nr) {
-                float *dst = s.bpack.data() +
-                             static_cast<size_t>(jr) * kb;
-                const int jw = std::min(nr, nb - jr);
-                const int64_t g0 = jc + jr;
-                if (jw > 0 && g0 / N_per == (g0 + jw - 1) / N_per) {
-                    const float *src =
-                        bmats[g0 / N_per] +
-                        static_cast<int64_t>(pc) * N_per + g0 % N_per;
-                    for (int k = 0; k < kb; ++k) {
-                        const float *row =
-                            src + static_cast<int64_t>(k) * N_per;
-                        for (int j = 0; j < jw; ++j)
-                            dst[k * nr + j] = row[j];
-                        for (int j = jw; j < nr; ++j)
-                            dst[k * nr + j] = 0.0f;
-                    }
-                } else {
-                    for (int j = 0; j < jw; ++j) {
-                        const int64_t g = g0 + j;
-                        const float *src =
-                            bmats[g / N_per] +
-                            static_cast<int64_t>(pc) * N_per +
-                            g % N_per;
-                        for (int k = 0; k < kb; ++k)
-                            dst[k * nr + j] =
-                                src[static_cast<int64_t>(k) * N_per];
-                    }
-                    for (int j = jw; j < nr; ++j)
-                        for (int k = 0; k < kb; ++k)
-                            dst[k * nr + j] = 0.0f;
-                }
-            }
+            for (int jr = 0; jr < nb; jr += nr)
+                pack(b, N_per, jc + jr, std::min(nr, nb - jr), pc, kb,
+                     nr, s.bpack.data() + static_cast<size_t>(jr) * kb);
             for (int icb = 0; icb * mc < M; ++icb) {
                 const int i0 = icb * mc;
                 const int mb = std::min(mc, M - i0);
@@ -953,24 +1027,24 @@ blockedGemmMultiBRange(int M, int N_per, int K,
                                s.apack.data());
                     apanels = s.apack.data();
                 }
-                // Scatter one mr x nr tile at (row ir, column jr)
-                // through the accumulation scratch.
-                auto scatterTile = [&](int ir, int jr) {
-                    const int rows = std::min(mr, mb - ir);
-                    const int cols = std::min(nr, nb - jr);
-                    std::fill(s.ctile.begin(), s.ctile.end(), 0.0f);
-                    kern.micro(kb, apanels + static_cast<size_t>(ir) * kb,
-                               s.bpack.data() +
-                                   static_cast<size_t>(jr) * kb,
-                               s.ctile.data(), nr);
-                    for (int i = 0; i < rows; ++i) {
-                        for (int j = 0; j < cols; ++j) {
-                            const int64_t g = jc + jr + j;
-                            cmats[g / N_per]
-                                 [static_cast<int64_t>(i0 + ir + i) *
-                                      N_per +
-                                  g % N_per] += s.ctile[i * nr + j];
-                        }
+                // Add a rows x cols ctile (row stride ldt) into C at
+                // row i0 + ir, merged column jc + jr, image by image.
+                auto scatter = [&](int ir, int jr, int rows, int cols,
+                                   int ldt) {
+                    int64_t g = jc + jr;
+                    for (int j = 0; j < cols;) {
+                        const int col = static_cast<int>(g % N_per);
+                        const int len = std::min(cols - j, N_per - col);
+                        float *dst = c + g / N_per * c_img_stride +
+                                     static_cast<int64_t>(i0 + ir) *
+                                         N_per +
+                                     col;
+                        for (int i = 0; i < rows; ++i)
+                            for (int t = 0; t < len; ++t)
+                                dst[static_cast<int64_t>(i) * N_per +
+                                    t] += s.ctile[i * ldt + j + t];
+                        j += len;
+                        g += len;
                     }
                 };
                 for (int jr = 0; jr < nb_pad; jr += jstep) {
@@ -979,14 +1053,12 @@ blockedGemmMultiBRange(int M, int N_per, int K,
                     const int jw = std::min(jstep, nb - jr);
                     const int64_t g0 = jc + jr;
                     // Direct store only when the whole tile lands in
-                    // one image's C matrix; tiles crossing an image
-                    // boundary (at most nimg - 1 per panel sweep)
-                    // scatter through the accumulation scratch.
+                    // one image's C matrix.
                     const bool one_img =
                         g0 / N_per == (g0 + jw - 1) / N_per;
-                    float *cimg =
-                        one_img ? cmats[g0 / N_per] + g0 % N_per
-                                : nullptr;
+                    float *cimg = one_img ? c + g0 / N_per * c_img_stride +
+                                                g0 % N_per
+                                          : nullptr;
                     for (int ir = 0; ir < mb_pad;) {
                         const float *ap =
                             apanels + static_cast<size_t>(ir) * kb;
@@ -994,23 +1066,28 @@ blockedGemmMultiBRange(int M, int N_per, int K,
                             wide && mb_pad - ir >= kern.wide_panels * mr
                                 ? kern.wide_panels
                                 : 1;
-                        const int iw_rows = std::min(na * mr, mb - ir);
+                        const int rows = std::min(na * mr, mb - ir);
+                        const WideFn wfn =
+                            wide ? kern.wide[na > 1][jw > nr] : nullptr;
                         float *crow =
                             one_img ? cimg + static_cast<int64_t>(i0 +
                                                                   ir) *
                                                  N_per
                                     : nullptr;
                         if (one_img && wide) {
-                            kern.wide[na > 1][jw > nr](
-                                kb, ap, bp, crow, N_per, iw_rows, jw);
-                        } else if (one_img && iw_rows == mr &&
-                                   jw == nr) {
+                            wfn(kb, ap, bp, crow, N_per, rows, jw);
+                        } else if (one_img && rows == mr && jw == nr) {
                             kern.micro(kb, ap, bp, crow, N_per);
                         } else {
-                            for (int p = 0; p < na; ++p)
-                                for (int v = 0; v * nr < jw; ++v)
-                                    scatterTile(ir + p * mr,
-                                                jr + v * nr);
+                            std::fill(s.ctile.begin(), s.ctile.end(),
+                                      0.0f);
+                            if (wide)
+                                wfn(kb, ap, bp, s.ctile.data(), jstep,
+                                    rows, jw);
+                            else
+                                kern.micro(kb, ap, bp, s.ctile.data(),
+                                           nr);
+                            scatter(ir, jr, rows, jw, jstep);
                         }
                         ir += na * mr;
                     }
@@ -1023,15 +1100,22 @@ blockedGemmMultiBRange(int M, int N_per, int K,
 /**
  * Parallel front end of the multi-B GEMM: split the merged column
  * space across workers, each running the serial range kernel with
- * private packing scratch (the same partition scheme — and the same
- * bit-identity argument — as blockedGemmParallel).
+ * private packing scratch. Every output element is produced by exactly
+ * one worker with the serial accumulation order, so results are
+ * bit-identical for any partition. Prepacked A panels are shared
+ * read-only by every worker.
+ *
+ * @p kern is resolved by the top-level caller (gemmKernels: one read
+ * of the dispatch state per conv invocation, per the dispatch
+ * contract) so a concurrent level override can never mix kernel
+ * flavors inside one output — worker threads inherit the caller's
+ * pick.
  */
 void
-blockedGemmMultiB(int M, int N_per, int K, int nimg,
-                  const float *const *bmats, float *const *cmats,
-                  const ConvConfig &cfg, int threads,
-                  const GemmKernels &kern, const PackedGemmA *prea,
-                  const float *a)
+blockedGemmMultiB(int M, int N_per, int K, int nimg, const GemmB &b,
+                  float *c, int64_t c_img_stride, const ConvConfig &cfg,
+                  int threads, const GemmKernels &kern,
+                  const PackedGemmA *prea, const float *a)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     (void)nc;
@@ -1043,156 +1127,60 @@ blockedGemmMultiB(int M, int N_per, int K, int nimg,
                   "prepacked A does not match this GEMM's blocking");
     const int64_t total = static_cast<int64_t>(nimg) * N_per;
     if (threads <= 1 || total < 2 * cfg.nr) {
-        blockedGemmMultiBRange(M, N_per, K, bmats, cmats, 0, total, cfg,
-                               kern, prea, a);
+        blockedGemmMultiBRange(M, N_per, K, b, c, c_img_stride, 0, total,
+                               cfg, kern, prea, a);
         return;
     }
     ThreadPool::global().parallelFor(
         total,
         [&](int64_t j0, int64_t j1) {
-            blockedGemmMultiBRange(M, N_per, K, bmats, cmats, j0, j1,
-                                   cfg, kern, prea, a);
+            blockedGemmMultiBRange(M, N_per, K, b, c, c_img_stride, j0,
+                                   j1, cfg, kern, prea, a);
         },
         threads);
 }
 
-/** Largest batch the merged-column conv fast path handles inline. */
-constexpr int kMaxBatchedCols = 32;
-
-/** Scratch cap (floats) for materializing a whole batch's im2col. */
-constexpr size_t kBatchedColsIm2colCap = 8u << 20;
-
+/**
+ * Im2col-family conv: per group, ONE logical GEMM over the merged
+ * columns of the whole batch (p.n * oh * ow; see blockedGemmMultiB).
+ * Pointwise convs read the input planes as B directly; every other
+ * conv packs its B panels straight from the NCHW input through the
+ * conv geometry (GemmB), so no im2col matrix exists at any batch size.
+ */
 void
 im2colKernel(const ConvProblem &p, const float *in, const float *w,
              const float *bias, float *out, const ConvConfig &cfg,
              const PackedConvWeights *packed = nullptr)
 {
-    const int oh = p.oh();
-    const int ow = p.ow();
     const int icg = p.ic / p.groups;
     const int ocg = p.oc / p.groups;
     const int K = icg * p.kh * p.kw;
-    const int N = oh * ow;
-
-    // Pointwise fast path: a 1x1/stride-1/no-pad convolution is a
-    // plain GEMM over the input planes — skip the im2col copy.
+    const int N = p.oh() * p.ow();
+    const int64_t plane = static_cast<int64_t>(p.ih) * p.iw;
+    const int64_t c_img_stride = static_cast<int64_t>(p.oc) * N;
     const bool pointwise =
         p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0;
 
     // One dispatch read for the whole conv call.
     const GemmKernels kern = gemmKernels(cfg.mr, cfg.nr);
-
     const int threads = effectiveThreads(cfg);
-    const int64_t outer = static_cast<int64_t>(p.n) * p.groups;
 
-    // Merged-column batch fast path: run the whole batch as one
-    // logical GEMM over nimg * N columns. Deep layers gain A-panel
-    // reuse across images and lose per-image micro-tile padding; the
-    // only cost is materializing every image's im2col matrix at once,
-    // so the path is gated on that scratch staying modest (pointwise
-    // convolutions read the input planes directly and always merge).
-    if (p.n > 1 && p.n <= kMaxBatchedCols &&
-        (pointwise || static_cast<size_t>(K) * N * p.n <=
-                          kBatchedColsIm2colCap)) {
-        const float *bmats[kMaxBatchedCols];
-        float *cmats[kMaxBatchedCols];
-        Scratch &s = scratch();
-        if (!pointwise)
-            s.im2col.resize(static_cast<size_t>(K) * N * p.n);
-        for (int g = 0; g < p.groups; ++g) {
-            if (!pointwise) {
-                // Materialize every image's im2col matrix for this
-                // group (disjoint writes; bit-exact copies, so the
-                // partition does not matter).
-                float *cols = s.im2col.data();
-                ThreadPool::global().parallelFor(
-                    p.n,
-                    [&](int64_t n0, int64_t n1) {
-                        for (int64_t n = n0; n < n1; ++n)
-                            im2col(p, in, static_cast<int>(n), g,
-                                   cols + static_cast<size_t>(n) * K *
-                                              N);
-                    },
-                    threads);
-            }
-            for (int n = 0; n < p.n; ++n) {
-                bmats[n] =
-                    pointwise
-                        ? in + ((static_cast<int64_t>(n) * p.ic +
-                                 g * icg) *
-                                p.ih) *
-                                   p.iw
-                        : s.im2col.data() +
-                              static_cast<size_t>(n) * K * N;
-                cmats[n] = out + ((static_cast<int64_t>(n) * p.oc +
-                                   g * ocg) *
-                                  oh) *
-                                     ow;
-                for (int oc = 0; oc < ocg; ++oc) {
-                    const float bv = bias ? bias[g * ocg + oc] : 0.0f;
-                    std::fill_n(cmats[n] + static_cast<int64_t>(oc) * N,
-                                N, bv);
-                }
-            }
-            blockedGemmMultiB(
-                ocg, N, K, p.n, bmats, cmats, cfg, threads, kern,
-                packed ? &packed->mats[g] : nullptr,
-                w ? w + static_cast<int64_t>(g) * ocg * K : nullptr);
-        }
-        return;
-    }
-
-    auto oneImageGroup = [&](int n, int g, bool gemm_parallel) {
-        const float *bmat;
-        if (pointwise) {
-            bmat = in + ((static_cast<int64_t>(n) * p.ic + g * icg) *
-                         p.ih) *
-                            p.iw;
-        } else {
-            Scratch &s = scratch();
-            s.im2col.resize(static_cast<size_t>(K) * N);
-            im2col(p, in, n, g, s.im2col.data());
-            bmat = s.im2col.data();
-        }
-        float *cbase = out + ((static_cast<int64_t>(n) * p.oc +
-                               g * ocg) *
-                              oh) *
-                                 ow;
+    for (int g = 0; g < p.groups; ++g) {
+        const GemmB b{in + g * icg * plane, p.ic * plane,
+                      pointwise ? nullptr : &p};
+        float *c = out + static_cast<int64_t>(g) * ocg * N;
         // Initialize output with bias (GEMM accumulates).
-        for (int oc = 0; oc < ocg; ++oc) {
-            const float bv = bias ? bias[g * ocg + oc] : 0.0f;
-            std::fill_n(cbase + static_cast<int64_t>(oc) * N, N, bv);
+        for (int n = 0; n < p.n; ++n) {
+            for (int oc = 0; oc < ocg; ++oc) {
+                std::fill_n(c + n * c_img_stride +
+                                static_cast<int64_t>(oc) * N,
+                            N, bias ? bias[g * ocg + oc] : 0.0f);
+            }
         }
-        const float *abase =
-            w ? w + static_cast<int64_t>(g) * ocg * K : nullptr;
-        const PackedGemmA *prea = packed ? &packed->mats[g] : nullptr;
-        if (gemm_parallel)
-            blockedGemmParallel(ocg, N, K, abase, bmat, cbase, cfg,
-                                threads, kern, prea);
-        else
-            blockedGemm(ocg, N, K, abase, bmat, cbase, cfg, N, kern,
-                        prea);
-    };
-
-    if (threads > 1 && outer >= threads) {
-        // Enough (batch, group) pairs to keep every worker busy; each
-        // worker uses its own thread-local im2col/pack scratch.
-        ThreadPool::global().parallelFor(
-            outer,
-            [&](int64_t o0, int64_t o1) {
-                for (int64_t o = o0; o < o1; ++o) {
-                    oneImageGroup(static_cast<int>(o / p.groups),
-                                  static_cast<int>(o % p.groups),
-                                  false);
-                }
-            },
-            threads);
-    } else {
-        // Batch 1 (the serving-path shape): parallelize inside the
-        // GEMM over column slices instead.
-        for (int n = 0; n < p.n; ++n)
-            for (int g = 0; g < p.groups; ++g)
-                oneImageGroup(n, g, true);
+        blockedGemmMultiB(
+            ocg, N, K, p.n, b, c, c_img_stride, cfg, threads, kern,
+            packed ? &packed->mats[g] : nullptr,
+            w ? w + static_cast<int64_t>(g) * ocg * K : nullptr);
     }
 }
 
@@ -1486,17 +1474,16 @@ winogradKernel(const ConvProblem &p, const float *in, const float *w,
             // Buffers are packed dense at the current block's width.
             std::fill(m.begin(), m.end(), 0.0f);
             for (int k = 0; k < 16; ++k) {
-                blockedGemm(p.oc, tcount, icg,
-                            packed ? nullptr
-                                   : u.data() +
-                                         static_cast<size_t>(k) * p.oc *
-                                             icg,
-                            v.data() + static_cast<size_t>(k) * icg *
-                                           tcount,
-                            m.data() + static_cast<size_t>(k) * p.oc *
-                                           tcount,
-                            cfg, tcount, kern,
-                            packed ? &packed->mats[k] : nullptr);
+                blockedGemmMultiB(
+                    p.oc, tcount, icg, 1,
+                    GemmB{v.data() +
+                          static_cast<size_t>(k) * icg * tcount},
+                    m.data() + static_cast<size_t>(k) * p.oc * tcount,
+                    0, cfg, 1, kern,
+                    packed ? &packed->mats[k] : nullptr,
+                    packed ? nullptr
+                           : u.data() +
+                                 static_cast<size_t>(k) * p.oc * icg);
             }
             // Inverse transform + scatter.
             for (int oc = 0; oc < p.oc; ++oc) {
@@ -1971,6 +1958,12 @@ packBInt8Panel(const int8_t *const *bmats, int N_per, int64_t g0,
         }
     }
 }
+
+/** Largest batch one int8 merged-column GEMM takes. */
+constexpr int kMaxBatchedCols = 32;
+
+/** Scratch cap (int8 values) for a chunk's int8 im2col matrices. */
+constexpr size_t kBatchedColsIm2colCap = 8u << 20;
 
 /**
  * Int8 im2col for one image (ungrouped): B[K = ic*kh*kw][N = oh*ow],
@@ -2457,11 +2450,11 @@ convForwardInt8Gemm(const ConvProblem &p, const int8_t *qin,
     const int threads = effectiveThreads(cfg);
     const size_t in_per = static_cast<size_t>(p.ic) * p.ih * p.iw;
 
-    // Batch the merged-column GEMM in chunks capped like the fp32
-    // path. Chunking never changes any output bit (integer adds are
-    // associative; the epilogue is per element), so batch-N stays
-    // identical to N separate batch-1 runs regardless of where the
-    // chunk boundaries fall.
+    // Batch the merged-column GEMM in chunks that cap the int8
+    // im2col scratch. Chunking never changes any output bit (integer
+    // adds are associative; the epilogue is per element), so batch-N
+    // stays identical to N separate batch-1 runs regardless of where
+    // the chunk boundaries fall.
     int n0 = 0;
     while (n0 < p.n) {
         int chunk = std::min(p.n - n0, kMaxBatchedCols);

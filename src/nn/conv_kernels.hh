@@ -12,8 +12,11 @@
  *  - Reference: textbook 7-deep loop nest; slow, used as ground truth.
  *  - Direct:    register-tiled direct convolution (oc x ow register
  *               blocks, unrolled reduction).
- *  - Im2col:    im2col + cache-blocked packed GEMM with an (mr x nr)
- *               micro-kernel (GotoBLAS-style mc/kc/nc blocking).
+ *  - Im2col:    implicit-im2col GEMM: cache-blocked packed GEMM with an
+ *               (mr x nr) micro-kernel (GotoBLAS-style mc/kc/nc
+ *               blocking) whose B panels are packed straight from the
+ *               NCHW input through the conv geometry, so the im2col
+ *               matrix itself is never built.
  */
 
 #ifndef TAMRES_NN_CONV_KERNELS_HH
@@ -61,7 +64,7 @@ enum class ConvAlgo
 {
     Reference, //!< naive loop nest (correctness oracle)
     Direct,    //!< register-tiled direct convolution
-    Im2col,    //!< im2col + blocked GEMM
+    Im2col,    //!< implicit-im2col blocked GEMM (B packed from input)
     /**
      * Winograd F(2x2, 3x3): 2.25x fewer multiplies for 3x3/stride-1/
      * ungrouped convolutions via 4x4 tile transforms and 16 batched
@@ -291,8 +294,8 @@ void packConvWeights(const ConvProblem &p, const ConvConfig &cfg,
  * convForward with plan-prepacked weights: identical output to
  * convForward(p, in, w, bias, out, packed.cfg) — the packed panels
  * hold the same values the on-the-fly packer would produce — but the
- * steady-state call performs no weight packing (only im2col/B-panel
- * activation packing). @p packed must be valid, built for the config
+ * steady-state call performs no weight packing (only B-panel
+ * activation packing, straight from the input). @p packed must be valid, built for the config
  * being run, and weight-shape-compatible with this problem (see
  * convWeightShapeCompatible — batch size and spatial extent may
  * differ from the shape the pack was built at).

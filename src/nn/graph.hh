@@ -10,8 +10,8 @@
  * prepacked weight panels — and subsequent runs at that shape replay
  * it with zero graph analysis, zero heap allocation (runInto() with a
  * caller-reused output is fully allocation-free; run() allocates only
- * the returned tensor), and zero weight packing (only im2col
- * activation panels are packed per request).
+ * the returned tensor), and zero weight packing (only activation B
+ * panels, packed straight from the input, are packed per request).
  * Plans are keyed by input shape, so dynamic-resolution serving hits
  * one cached plan per resolution. Any structural mutation (add,
  * setOutput, replaceOp, rewire) invalidates the cache; kernel-selector

@@ -80,13 +80,35 @@ namespace {
 
 /**
  * On-disk cache format tag. v2 added the threads column; v3 added the
- * simd column (the dispatch level the config was measured under — a
- * blocking tuned for AVX2 micro-kernels is not evidence for the
- * scalar fallback, so entries from other levels are skipped at load).
- * Unversioned (v1) files would otherwise misparse silently, so
- * anything without the tag is discarded and rebuilt.
+ * simd column (the dispatch the config was measured under, see
+ * dispatchDescriptor — a blocking tuned for AVX2 micro-kernels is not
+ * evidence for the scalar fallback, so entries measured under another
+ * dispatch are skipped at load). Unversioned (v1) files would
+ * otherwise misparse silently, so anything without the tag is
+ * discarded and rebuilt.
  */
 const char *const kCacheVersion = "tamres-cache-v3";
+
+/**
+ * The active kernel dispatch as one token: the SIMD level, plus
+ * "+avx512f" and "+vnni" for the Avx2 level's sub-feature switches
+ * that are on (e.g. "avx2+avx512f+vnni"). The 512-bit GEMM tiles
+ * change which blocking wins, so a config timed with them off is no
+ * evidence for running with them on, and the reverse.
+ */
+std::string
+dispatchDescriptor()
+{
+    const SimdLevel level = simdLevel();
+    std::string out = simdLevelName(level);
+    if (level == SimdLevel::Avx2) {
+        if (simdAvx512())
+            out += "+avx512f";
+        if (simdVnni())
+            out += "+vnni";
+    }
+    return out;
+}
 
 } // namespace
 
@@ -112,14 +134,15 @@ ConfigCache::load()
         return;
     }
     char key[128];
-    char simd[16];
+    char simd[32];
     int algo, oc_tile, ow_tile, mc, kc, nc, mr, nr, wino_tb, threads;
     double gf;
     size_t other_level = 0;
-    while (std::fscanf(f, "%127s %15s %d %d %d %d %d %d %d %d %d %d %lf",
+    const std::string dispatch = dispatchDescriptor();
+    while (std::fscanf(f, "%127s %31s %d %d %d %d %d %d %d %d %d %d %lf",
                        key, simd, &algo, &oc_tile, &ow_tile, &mc, &kc,
                        &nc, &mr, &nr, &wino_tb, &threads, &gf) == 13) {
-        if (std::strcmp(simd, simdLevelName(simdLevel())) != 0) {
+        if (dispatch != simd) {
             ++other_level;
             continue;
         }
@@ -140,7 +163,7 @@ ConfigCache::load()
     std::fclose(f);
     if (!entries_.empty() || other_level > 0) {
         inform("ConfigCache: loaded %zu tuned configs from %s "
-               "(%zu skipped: measured at another simd level)",
+               "(%zu skipped: measured under another simd dispatch)",
                entries_.size(), path_.c_str(), other_level);
     }
 }
@@ -159,7 +182,7 @@ ConfigCache::appendToFile(const std::string &key, const Entry &e) const
     if (std::ftell(f) == 0)
         std::fprintf(f, "%s\n", kCacheVersion);
     std::fprintf(f, "%s %s %d %d %d %d %d %d %d %d %d %d %.4f\n",
-                 key.c_str(), simdLevelName(simdLevel()),
+                 key.c_str(), dispatchDescriptor().c_str(),
                  algoToInt(e.config.algo), e.config.oc_tile,
                  e.config.ow_tile, e.config.mc, e.config.kc, e.config.nc,
                  e.config.mr, e.config.nr, e.config.wino_tile_block,

@@ -419,15 +419,37 @@ TEST(GemmMicroAvx512, BitIdenticalToAvx2AcrossImageBoundaries)
     if (!simdAvx512Detected())
         GTEST_SKIP() << "avx512f not detected on this host";
     // Batched convs run one GEMM over the merged columns of every
-    // image, so tiles straddle image boundaries (pointwise: 3 x 7,
-    // 3 x 23, 3 x 40 columns; 3x3 im2col: 3 x 99). Winograd's 16
-    // GEMMs take the 512-bit tiles too.
+    // image, so tiles straddle image boundaries (pointwise: 3 x N_per
+    // columns; 3x3 and 1x1 stride-2 convs at N_per 9, 25, 49 and 99,
+    // whose B panels are packed straight from the input). At N_per 9
+    // one 16-lane vector crosses several boundaries. Straddling tiles
+    // run the 512-bit kernel into the scratch tile and scatter, at the
+    // test's small blocking and at the serving (Library) blocking.
+    // Winograd's 16 GEMMs take the 512-bit tiles too.
     for (const int mr : {1, 2, 4, 6, 8}) {
-        for (const int n : {7, 23, 40}) {
-            const ConvProblem p{.n = 3, .ic = 37, .ih = 1, .iw = n,
-                                .oc = 19, .kh = 1, .kw = 1,
-                                .stride = 1, .pad = 0};
-            expectWideMatchesAvx2(p, microConfig(mr, 16), 41 + n);
+        ConvConfig library = microConfig(mr, 16);
+        library.mc = 64;
+        library.kc = 288;
+        library.nc = 3136;
+        for (const ConvConfig &cfg : {microConfig(mr, 16), library}) {
+            for (const int n : {7, 9, 23, 25, 40, 49}) {
+                const ConvProblem p{.n = 3, .ic = 37, .ih = 1, .iw = n,
+                                    .oc = 19, .kh = 1, .kw = 1,
+                                    .stride = 1, .pad = 0};
+                expectWideMatchesAvx2(p, cfg, 41 + n);
+            }
+            for (const int side : {3, 5, 7}) {
+                const ConvProblem conv{.n = 3, .ic = 5, .ih = side,
+                                       .iw = side, .oc = 13, .kh = 3,
+                                       .kw = 3, .stride = 1, .pad = 1};
+                expectWideMatchesAvx2(conv, cfg, 53 + side);
+                const ConvProblem down{.n = 3, .ic = 37,
+                                       .ih = 2 * side - 1,
+                                       .iw = 2 * side - 1, .oc = 19,
+                                       .kh = 1, .kw = 1, .stride = 2,
+                                       .pad = 0};
+                expectWideMatchesAvx2(down, cfg, 63 + side);
+            }
         }
         const ConvProblem conv{.n = 3, .ic = 5, .ih = 9, .iw = 11,
                                .oc = 13, .kh = 3, .kw = 3, .stride = 1,

@@ -3,17 +3,21 @@
  * Property tests for the convolution kernels: every optimized
  * implementation (direct tiled, im2col + blocked GEMM across blocking
  * parameters) must agree with the reference loop nest over a sweep of
- * problem shapes.
+ * problem shapes, and the GEMM's implicit B packing must equal a GEMM
+ * over an explicitly built im2col matrix bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/conv_kernels.hh"
 #include "nn/kernel_selector.hh"
+#include "threads_env.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace tamres {
 namespace {
@@ -134,6 +138,100 @@ kernelCases()
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConvAgainstReference,
                          ::testing::ValuesIn(kernelCases()));
+
+// --- Implicit B packing vs an explicit im2col matrix -----------------
+
+/**
+ * The im2col matrices of @p p's input laid out as the input of a
+ * pointwise conv: image n, channel g * K + k for tap k = (ic, ky, kx)
+ * of group g (K = icg * kh * kw), pixel (y, x) of the output grid;
+ * taps in the padding are zero.
+ */
+std::vector<float>
+im2colMatrices(const ConvProblem &p, const std::vector<float> &in)
+{
+    const int icg = p.ic / p.groups;
+    const int K = icg * p.kh * p.kw;
+    const int oh = p.oh();
+    const int ow = p.ow();
+    std::vector<float> col(static_cast<size_t>(p.n) * p.groups * K *
+                           oh * ow);
+    size_t i = 0;
+    for (int n = 0; n < p.n; ++n)
+        for (int c = 0; c < p.ic; ++c)
+            for (int ky = 0; ky < p.kh; ++ky)
+                for (int kx = 0; kx < p.kw; ++kx)
+                    for (int y = 0; y < oh; ++y)
+                        for (int x = 0; x < ow; ++x) {
+                            const int iy = y * p.stride + ky - p.pad;
+                            const int ix = x * p.stride + kx - p.pad;
+                            const bool inside = iy >= 0 && iy < p.ih &&
+                                                ix >= 0 && ix < p.iw;
+                            col[i++] =
+                                inside ? in[((static_cast<size_t>(n) *
+                                                  p.ic +
+                                              c) * p.ih + iy) * p.iw +
+                                            ix]
+                                       : 0.0f;
+                        }
+    return col;
+}
+
+TEST(ImplicitPacking, BitIdenticalToPointwiseOverIm2colMatrix)
+{
+    // A conv packs its B panels straight from the input. A pointwise
+    // conv over the im2col matrices, with the same weights and config,
+    // runs the same GEMM over B read as a plain matrix, so the two
+    // outputs must be equal bit for bit. Widths 7 and 23 give ow < nr
+    // and ow off a multiple of nr; kc = 5 cuts through (ky, kx) runs;
+    // batch 3 at small outputs makes panels span several images.
+    int cases = 0;
+    for (const int k : {1, 3, 7})
+    for (const int stride : {1, 2})
+    for (const int pad : {0, 1, 3})
+    for (const int groups : {1, 2})
+    for (const int iw : {7, 23})
+    for (const int batch : {1, 3}) {
+        const ConvProblem p{.n = batch, .ic = 6, .ih = 9, .iw = iw,
+                            .oc = 10, .kh = k, .kw = k,
+                            .stride = stride, .pad = pad,
+                            .groups = groups};
+        const int K = (p.ic / groups) * k * k;
+        const ConvProblem pw{.n = batch, .ic = groups * K, .ih = p.oh(),
+                             .iw = p.ow(), .oc = p.oc, .kh = 1, .kw = 1,
+                             .stride = 1, .pad = 0, .groups = groups};
+        const auto in = randomVec(
+            static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, 11 + k);
+        const auto w =
+            randomVec(static_cast<size_t>(p.oc) * K, 12 + k, 0.5f);
+        const auto bias = randomVec(p.oc, 13);
+        const auto col = im2colMatrices(p, in);
+        const size_t out_n =
+            static_cast<size_t>(p.n) * p.oc * p.oh() * p.ow();
+        for (const int nr : {8, 16})
+        for (const int kc : {5, 64})
+        for (const int threads : {1, 4})
+        for (const bool wide : {false, true}) {
+            const ConvConfig cfg{.algo = ConvAlgo::Im2col, .mc = 16,
+                                 .kc = kc, .nc = 40, .mr = 4, .nr = nr,
+                                 .threads = threads};
+            ASSERT_TRUE(convConfigValid(p, cfg));
+            ThreadsEnv env(threads);
+            SimdAvx512Guard guard(wide);
+            std::vector<float> got(out_n), want(out_n);
+            convForward(p, in.data(), w.data(), bias.data(), got.data(),
+                        cfg);
+            convForward(pw, col.data(), w.data(), bias.data(),
+                        want.data(), cfg);
+            ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                     out_n * sizeof(float)))
+                << p.key() << " " << cfg.toString()
+                << " avx512=" << simdAvx512();
+            ++cases;
+        }
+    }
+    EXPECT_EQ(cases, 3 * 2 * 3 * 2 * 2 * 2 * 16);
+}
 
 TEST(ConvProblem, OutputGeometry)
 {

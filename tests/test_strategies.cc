@@ -18,6 +18,7 @@
 #include "nn/builders.hh"
 #include "tuning/tuner.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace tamres {
 namespace {
@@ -400,6 +401,44 @@ TEST(CacheFormat, WinogradRoundTripsThroughFile)
     ASSERT_TRUE(reloaded.lookup(p, back, &gf));
     EXPECT_TRUE(back == cfg);
     EXPECT_NEAR(gf, 3.25, 1e-6);
+    std::remove(path.c_str());
+}
+
+
+TEST(CacheFormat, EntriesLoadOnlyUnderTheDispatchTheyWereTimedUnder)
+{
+    // The 512-bit GEMM tiles change which blocking wins: an entry timed
+    // with them off must not load with them on, and the reverse.
+    if (!simdAvx512Detected())
+        GTEST_SKIP() << "avx512f not detected on this host";
+    SimdLevelGuard level(SimdLevel::Avx2);
+    const std::string path = "/tmp/tamres_test_cache_dispatch.txt";
+    std::remove(path.c_str());
+    const ConvProblem narrow{1, 16, 28, 28, 16, 3, 3, 1, 1, 1};
+    const ConvProblem wide{1, 32, 14, 14, 32, 3, 3, 1, 1, 1};
+    ConvConfig cfg;
+    cfg.nr = 16;
+    {
+        SimdAvx512Guard off(false);
+        ConfigCache(path).store(narrow, cfg, 2.0);
+    }
+    {
+        SimdAvx512Guard on(true);
+        ConfigCache(path).store(wide, cfg, 4.0);
+    }
+    ConvConfig back;
+    {
+        SimdAvx512Guard on(true);
+        ConfigCache reloaded(path);
+        EXPECT_FALSE(reloaded.lookup(narrow, back));
+        EXPECT_TRUE(reloaded.lookup(wide, back));
+    }
+    {
+        SimdAvx512Guard off(false);
+        ConfigCache reloaded(path);
+        EXPECT_TRUE(reloaded.lookup(narrow, back));
+        EXPECT_FALSE(reloaded.lookup(wide, back));
+    }
     std::remove(path.c_str());
 }
 
