@@ -678,7 +678,6 @@ struct Scratch
     std::vector<float> wino_u; //!< transformed weights (fork thread)
     std::vector<float> wino_v; //!< input-tile transform (per worker)
     std::vector<float> wino_m; //!< GEMM accumulator (per worker)
-    std::vector<int8_t> qcol;   //!< int8 im2col matrix (quantized path)
     std::vector<int8_t> qapack; //!< int8 A quad panels (on-the-fly)
     std::vector<int8_t> qbpack; //!< int8 B quad panels (per worker)
     std::vector<int32_t> qacc;  //!< padded int32 accumulator panel
@@ -742,18 +741,47 @@ packABlock(const float *a, int lda, int icb, int pc, int mb, int kb,
  * the padding reads zero. The B-panel packers read it in place, so no
  * column matrix is materialized at any batch size (the packing form of
  * Goto & van de Geijn, ACM TOMS 2008; the indirect-convolution idea of
- * Dukhan, arXiv:1907.02129).
+ * Dukhan, arXiv:1907.02129). T is float for the fp32 GEMM and int8_t
+ * for the quantized one, whose padding taps pack q(0) = 0 exactly.
  */
+template <typename T>
 struct GemmB
 {
-    const float *base = nullptr;
+    const T *base = nullptr;
     int64_t img_stride = 0;
     const ConvProblem *conv = nullptr;
 };
 
-/** Packs one k-major nr-wide B panel (see packMatrixPanel). */
-using PanelPackFn = void (*)(const GemmB &b, int N_per, int64_t g0,
-                             int jw, int pc, int kb, int nr, float *dst);
+/**
+ * Packs one nr-wide B panel (see packMatrixPanel). A panel's k rows
+ * are interleaved in groups of Q: element (k, j) sits at
+ * dst[(k / Q) * nr * Q + j * Q + k % Q], which is k-major for the fp32
+ * micro-kernels (Q = 1) and quad-K for the int8 ones (Q = 4). The k
+ * tail is zero-padded to a whole group.
+ */
+template <typename T>
+using PanelPackFn = void (*)(const GemmB<T> &b, int N_per, int64_t g0,
+                             int jw, int pc, int kb, int nr, T *dst);
+
+/** Row k of a Q-interleaved nr-wide panel; its column j is at [j * Q]. */
+template <typename T, int Q>
+T *
+panelRow(T *dst, int k, int nr)
+{
+    return dst + static_cast<size_t>(k / Q) * nr * Q + k % Q;
+}
+
+/** Zero a panel's rows kb .. (kb rounded up to Q); none when Q = 1. */
+template <typename T, int Q>
+void
+zeroPanelKTail(int kb, int nr, T *dst)
+{
+    for (int k = kb; k % Q != 0; ++k) {
+        T *d = panelRow<T, Q>(dst, k, nr);
+        for (int j = 0; j < nr; ++j)
+            d[j * Q] = T(0);
+    }
+}
 
 /** The tap (ic, ky, kx) of implicit-im2col row k, stepped row by row. */
 struct Tap
@@ -779,60 +807,59 @@ struct Tap
 
 /**
  * Pack rows [pc, pc + kb) x columns [g0, g0 + jw) of a matrix B into
- * one k-major nr-wide panel, zero-padding columns jw..nr. A panel
- * whose columns all belong to one image reads contiguous rows; only
- * panels straddling an image boundary resolve per column.
+ * one nr-wide panel, zero-padding columns jw..nr. A panel whose
+ * columns all belong to one image reads contiguous rows; only panels
+ * straddling an image boundary resolve per column.
  */
+template <typename T, int Q>
 void
-packMatrixPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
-                int kb, int nr, float *dst)
+packMatrixPanel(const GemmB<T> &b, int N_per, int64_t g0, int jw, int pc,
+                int kb, int nr, T *dst)
 {
     if (g0 / N_per == (g0 + jw - 1) / N_per) {
-        const float *src = b.base + g0 / N_per * b.img_stride +
-                           static_cast<int64_t>(pc) * N_per + g0 % N_per;
+        const T *src = b.base + g0 / N_per * b.img_stride +
+                       static_cast<int64_t>(pc) * N_per + g0 % N_per;
         for (int k = 0; k < kb; ++k) {
-            const float *row = src + static_cast<int64_t>(k) * N_per;
+            const T *row = src + static_cast<int64_t>(k) * N_per;
+            T *d = panelRow<T, Q>(dst, k, nr);
             for (int j = 0; j < jw; ++j)
-                dst[k * nr + j] = row[j];
+                d[j * Q] = row[j];
             for (int j = jw; j < nr; ++j)
-                dst[k * nr + j] = 0.0f;
+                d[j * Q] = T(0);
         }
-        return;
-    }
-    for (int j = 0; j < jw; ++j) {
-        const int64_t g = g0 + j;
-        const float *src = b.base + g / N_per * b.img_stride +
+    } else {
+        for (int j = 0; j < jw; ++j) {
+            const int64_t g = g0 + j;
+            const T *src = b.base + g / N_per * b.img_stride +
                            static_cast<int64_t>(pc) * N_per + g % N_per;
-        for (int k = 0; k < kb; ++k)
-            dst[k * nr + j] = src[static_cast<int64_t>(k) * N_per];
+            for (int k = 0; k < kb; ++k)
+                panelRow<T, Q>(dst, k, nr)[j * Q] =
+                    src[static_cast<int64_t>(k) * N_per];
+        }
+        for (int j = jw; j < nr; ++j)
+            for (int k = 0; k < kb; ++k)
+                panelRow<T, Q>(dst, k, nr)[j * Q] = T(0);
     }
-    for (int j = jw; j < nr; ++j)
-        for (int k = 0; k < kb; ++k)
-            dst[k * nr + j] = 0.0f;
+    zeroPanelKTail<T, Q>(kb, nr, dst);
 }
 
 /**
  * The same panel of an implicit im2col matrix (GemmB with a conv
- * geometry), on every dispatch level. The columns split into runs that
- * share an image and an output row; per k row, each run reads one
- * input-row segment at the conv stride and writes zeros where the
- * segment leaves the input.
+ * geometry), on every dispatch level and for both precisions. The
+ * columns split into runs that share an image and an output row; each
+ * run walks the k rows (taps), reading one input-row segment at the
+ * conv stride per row and writing zeros where the segment leaves the
+ * input.
  */
+template <typename T, int Q>
 void
-packConvPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
-              int kb, int nr, float *dst)
+packConvPanel(const GemmB<T> &b, int N_per, int64_t g0, int jw, int pc,
+              int kb, int nr, T *dst)
 {
     const ConvProblem &p = *b.conv;
     const int ow = p.ow();
     const int s = p.stride;
     const int64_t plane = static_cast<int64_t>(p.ih) * p.iw;
-    struct Run
-    {
-        const float *img;
-        int j0, len, iy0, ix0;
-    };
-    Run runs[16]; // nr <= 16 columns, each run at least one
-    int nruns = 0;
     int64_t img = g0 / N_per;
     int pix = static_cast<int>(g0 % N_per);
     for (int j = 0; j < jw;) {
@@ -840,43 +867,40 @@ packConvPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
             ++img;
             pix = 0;
         }
-        const int y = pix / ow;
-        const int x = pix % ow;
-        const int len = std::min(jw - j, ow - x);
-        runs[nruns++] = {b.base + img * b.img_stride, j, len,
-                         y * s - p.pad, x * s - p.pad};
-        j += len;
-        pix += len;
-    }
-    Tap tap(p, pc);
-    for (int k = 0; k < kb; ++k, tap.next(p)) {
-        float *d = dst + static_cast<size_t>(k) * nr;
-        for (int r = 0; r < nruns; ++r) {
-            const Run &run = runs[r];
-            float *o = d + run.j0;
-            const int iy = run.iy0 + tap.ky;
-            const int ix = run.ix0 + tap.kx;
+        const int len = std::min(jw - j, ow - pix % ow);
+        const int iy0 = pix / ow * s - p.pad;
+        const int ix0 = pix % ow * s - p.pad;
+        const T *src = b.base + img * b.img_stride;
+        Tap tap(p, pc);
+        for (int k = 0; k < kb; ++k, tap.next(p)) {
+            T *o = panelRow<T, Q>(dst, k, nr) + j * Q;
+            const int iy = iy0 + tap.ky;
+            const int ix = ix0 + tap.kx;
             // Run columns [lo, hi) read inside the input row.
             int lo = 0;
             int hi = 0;
-            const float *row = nullptr;
+            const T *row = nullptr;
             if (iy >= 0 && iy < p.ih) {
-                lo = std::min(run.len, ix >= 0 ? 0 : (s - 1 - ix) / s);
-                hi = std::max(lo, std::min(run.len,
-                                           (p.iw - ix + s - 1) / s));
-                row = run.img + tap.ic * plane +
-                      static_cast<int64_t>(iy) * p.iw;
+                lo = std::min(len, ix >= 0 ? 0 : (s - 1 - ix) / s);
+                hi = std::max(lo, std::min(len, (p.iw - ix + s - 1) / s));
+                row = src + tap.ic * plane + static_cast<int64_t>(iy) * p.iw;
             }
             for (int t = 0; t < lo; ++t)
-                o[t] = 0.0f;
+                o[t * Q] = T(0);
             for (int t = lo; t < hi; ++t)
-                o[t] = row[ix + t * s];
-            for (int t = hi; t < run.len; ++t)
-                o[t] = 0.0f;
+                o[t * Q] = row[ix + t * s];
+            for (int t = hi; t < len; ++t)
+                o[t * Q] = T(0);
         }
-        for (int j = jw; j < nr; ++j)
-            d[j] = 0.0f;
+        j += len;
+        pix += len;
     }
+    for (int k = 0; k < kb && jw < nr; ++k) {
+        T *d = panelRow<T, Q>(dst, k, nr);
+        for (int j = jw; j < nr; ++j)
+            d[j * Q] = T(0);
+    }
+    zeroPanelKTail<T, Q>(kb, nr, dst);
 }
 
 #if TAMRES_SIMD_X86
@@ -891,7 +915,7 @@ packConvPanel(const GemmB &b, int N_per, int64_t g0, int jw, int pc,
  * instructions per float.
  */
 TAMRES_TARGET_AVX512 void
-packConvPanelAvx512(const GemmB &b, int N_per, int64_t g0, int jw,
+packConvPanelAvx512(const GemmB<float> &b, int N_per, int64_t g0, int jw,
                     int pc, int kb, int /*nr == 16*/, float *dst)
 {
     const ConvProblem &p = *b.conv;
@@ -982,7 +1006,7 @@ packConvPanelAvx512(const GemmB &b, int N_per, int64_t g0, int jw,
  * every case.
  */
 void
-blockedGemmMultiBRange(int M, int N_per, int K, const GemmB &b,
+blockedGemmMultiBRange(int M, int N_per, int K, const GemmB<float> &b,
                        float *c, int64_t c_img_stride, int64_t c0,
                        int64_t c1, const ConvConfig &cfg,
                        const GemmKernels &kern, const PackedGemmA *prea,
@@ -993,7 +1017,8 @@ blockedGemmMultiBRange(int M, int N_per, int K, const GemmB &b,
     const int nr = cfg.nr;
     const bool wide = kern.wide[0][0] != nullptr;
     const int jstep = wide ? 2 * nr : nr;
-    PanelPackFn pack = b.conv ? packConvPanel : packMatrixPanel;
+    PanelPackFn<float> pack =
+        b.conv ? packConvPanel<float, 1> : packMatrixPanel<float, 1>;
 #if TAMRES_SIMD_X86
     // The 512-bit conv packer's int32 lane offsets span at most nr
     // images.
@@ -1112,10 +1137,11 @@ blockedGemmMultiBRange(int M, int N_per, int K, const GemmB &b,
  * pick.
  */
 void
-blockedGemmMultiB(int M, int N_per, int K, int nimg, const GemmB &b,
-                  float *c, int64_t c_img_stride, const ConvConfig &cfg,
-                  int threads, const GemmKernels &kern,
-                  const PackedGemmA *prea, const float *a)
+blockedGemmMultiB(int M, int N_per, int K, int nimg,
+                  const GemmB<float> &b, float *c, int64_t c_img_stride,
+                  const ConvConfig &cfg, int threads,
+                  const GemmKernels &kern, const PackedGemmA *prea,
+                  const float *a)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     (void)nc;
@@ -1166,8 +1192,8 @@ im2colKernel(const ConvProblem &p, const float *in, const float *w,
     const int threads = effectiveThreads(cfg);
 
     for (int g = 0; g < p.groups; ++g) {
-        const GemmB b{in + g * icg * plane, p.ic * plane,
-                      pointwise ? nullptr : &p};
+        const GemmB<float> b{in + g * icg * plane, p.ic * plane,
+                             pointwise ? nullptr : &p};
         float *c = out + static_cast<int64_t>(g) * ocg * N;
         // Initialize output with bias (GEMM accumulates).
         for (int n = 0; n < p.n; ++n) {
@@ -1476,8 +1502,8 @@ winogradKernel(const ConvProblem &p, const float *in, const float *w,
             for (int k = 0; k < 16; ++k) {
                 blockedGemmMultiB(
                     p.oc, tcount, icg, 1,
-                    GemmB{v.data() +
-                          static_cast<size_t>(k) * icg * tcount},
+                    GemmB<float>{v.data() +
+                                 static_cast<size_t>(k) * icg * tcount},
                     m.data() + static_cast<size_t>(k) * p.oc * tcount,
                     0, cfg, 1, kern,
                     packed ? &packed->mats[k] : nullptr,
@@ -1598,7 +1624,11 @@ depthwiseKernel(const ConvProblem &p, const float *in, const float *w,
 // each row's/column's 4 consecutive k values contiguous. k is padded
 // to a multiple of 4 per kc-block with zeros — zero A rows/B columns
 // contribute exactly 0 to every int32 accumulator, which is what makes
-// the padded direct-store scheme below exact.
+// the padded direct-store scheme below exact. The B panels come from
+// the same packers as fp32's (GemmB, packConvPanel/packMatrixPanel at
+// Q = 4), straight from the quantized NCHW input: no int8 im2col
+// matrix and no batch chunking at any batch size, one merged-column
+// GEMM per conv.
 //
 // Unlike the fp32 path (which accumulates into C), the int8 path
 // accumulates int32 into a padded per-panel scratch and applies the
@@ -1929,91 +1959,10 @@ packAInt8Block(const int8_t *a, int lda, int row0, int k0, int mb,
 }
 
 /**
- * Pack one nr-wide int8 B panel (merged column space, like the fp32
- * multi-B packer): columns [g0, g0 + jw) resolved through the
- * per-image B matrices, k values [pc, pc + kb) quad-interleaved and
- * zero-padded (pad columns and the k tail).
- */
-void
-packBInt8Panel(const int8_t *const *bmats, int N_per, int64_t g0,
-               int jw, int pc, int kb, int nr, int8_t *dst)
-{
-    const int kq = quadCount(kb);
-    for (int j = 0; j < nr; ++j) {
-        const int8_t *src = nullptr;
-        if (j < jw) {
-            const int64_t g = g0 + j;
-            src = bmats[g / N_per] + static_cast<int64_t>(pc) * N_per +
-                  g % N_per;
-        }
-        int8_t *d = dst + j * 4;
-        for (int q = 0; q < kq; ++q) {
-            for (int u = 0; u < 4; ++u) {
-                const int k = q * 4 + u;
-                d[q * nr * 4 + u] =
-                    (src && k < kb)
-                        ? src[static_cast<int64_t>(k) * N_per]
-                        : static_cast<int8_t>(0);
-            }
-        }
-    }
-}
-
-/** Largest batch one int8 merged-column GEMM takes. */
-constexpr int kMaxBatchedCols = 32;
-
-/** Scratch cap (int8 values) for a chunk's int8 im2col matrices. */
-constexpr size_t kBatchedColsIm2colCap = 8u << 20;
-
-/**
- * Int8 im2col for one image (ungrouped): B[K = ic*kh*kw][N = oh*ow],
- * row-major, padding as quantized zero (q(0) = 0, so gathering the
- * quantized input equals quantizing the gathered input bit-for-bit).
- */
-void
-im2colInt8(const ConvProblem &p, const int8_t *qin, int n, int8_t *col)
-{
-    const int oh = p.oh();
-    const int ow = p.ow();
-    const int N = oh * ow;
-    for (int ic = 0; ic < p.ic; ++ic) {
-        const int8_t *iplane =
-            qin + (static_cast<int64_t>(n) * p.ic + ic) * p.ih * p.iw;
-        for (int ky = 0; ky < p.kh; ++ky) {
-            for (int kx = 0; kx < p.kw; ++kx) {
-                int8_t *crow =
-                    col + (static_cast<int64_t>(ic) * p.kh * p.kw +
-                           ky * p.kw + kx) *
-                              N;
-                for (int y = 0; y < oh; ++y) {
-                    const int iy = y * p.stride + ky - p.pad;
-                    int8_t *dst = crow + y * ow;
-                    if (iy < 0 || iy >= p.ih) {
-                        std::memset(dst, 0, ow);
-                        continue;
-                    }
-                    const int8_t *irow = iplane + iy * p.iw;
-                    const int x_lo_in = kx - p.pad;
-                    if (p.stride == 1 && x_lo_in >= 0 &&
-                        x_lo_in + ow <= p.iw) {
-                        std::memcpy(dst, irow + x_lo_in, ow);
-                        continue;
-                    }
-                    for (int x = 0; x < ow; ++x) {
-                        const int ix = x * p.stride + kx - p.pad;
-                        dst[x] = (ix < 0 || ix >= p.iw)
-                                     ? static_cast<int8_t>(0)
-                                     : irow[ix];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/**
- * Serial int8 multi-B GEMM over merged columns [c0, c1): int32
- * accumulation into a padded scratch panel, then the fp32 epilogue.
+ * Serial int8 multi-B GEMM over merged columns [c0, c1) of the B
+ * operand @p b (quad-K panels from the shared packers, Q = 4): int32
+ * accumulation into a padded scratch panel, then the fp32 epilogue
+ * into C (image i's M x N_per output at c + i * c_img_stride).
  *
  * The padded direct-store scheme: the accumulator panel is
  * (M rounded up + mr slack) x nb_pad, and every micro tile stores its
@@ -2030,17 +1979,19 @@ im2colInt8(const ConvProblem &p, const int8_t *qin, int n, int8_t *col)
  * so the planned path is bitwise identical to it.
  */
 void
-blockedGemmInt8Range(int M, int N_per, int K,
-                     const int8_t *const *bmats, float *const *cmats,
-                     int64_t c0, int64_t c1, const ConvConfig &cfg,
-                     MicroInt8Fn micro, const PackedGemmAInt8 *prea,
-                     const int8_t *a, const QuantConvEpilogue &epi)
+blockedGemmInt8Range(int M, int N_per, int K, const GemmB<int8_t> &b,
+                     float *c, int64_t c_img_stride, int64_t c0,
+                     int64_t c1, const ConvConfig &cfg, MicroInt8Fn micro,
+                     const PackedGemmAInt8 *prea, const int8_t *a,
+                     const QuantConvEpilogue &epi)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     const int mr = cfg.mr;
     const int nr = cfg.nr;
     const int kq_max = quadCount(kc);
     const int M_alloc = (M + mr - 1) / mr * mr + mr;
+    const PanelPackFn<int8_t> pack =
+        b.conv ? packConvPanel<int8_t, 4> : packMatrixPanel<int8_t, 4>;
 
     Scratch &s = scratch();
     if (!prea) {
@@ -2058,12 +2009,9 @@ blockedGemmInt8Range(int M, int N_per, int K,
         for (int pc = 0, pcb = 0; pc < K; pc += kc, ++pcb) {
             const int kb = std::min(kc, K - pc);
             const int kq = quadCount(kb);
-            for (int jr = 0; jr < nb_pad; jr += nr) {
-                packBInt8Panel(bmats, N_per, jc + jr,
-                               std::min(nr, nb - jr), pc, kb, nr,
-                               s.qbpack.data() +
-                                   static_cast<size_t>(jr) * kq * 4);
-            }
+            for (int jr = 0; jr < nb; jr += nr)
+                pack(b, N_per, jc + jr, std::min(nr, nb - jr), pc, kb, nr,
+                     s.qbpack.data() + static_cast<size_t>(jr) * kq * 4);
             for (int icb = 0; icb * mc < M; ++icb) {
                 const int i0 = icb * mc;
                 const int mb = std::min(mc, M - i0);
@@ -2103,13 +2051,13 @@ blockedGemmInt8Range(int M, int N_per, int K,
             int j = 0;
             while (j < nb) {
                 const int64_t g = jc + j;
-                const int img = static_cast<int>(g / N_per);
+                const int64_t img = g / N_per;
                 const int col = static_cast<int>(g % N_per);
                 const int run = static_cast<int>(
                     std::min<int64_t>(nb - j, N_per - col));
                 const float mult = epi.act_scales[img] * ws;
-                float *orow =
-                    cmats[img] + static_cast<int64_t>(m) * N_per + col;
+                float *orow = c + img * c_img_stride +
+                              static_cast<int64_t>(m) * N_per + col;
                 for (int t = 0; t < run; ++t) {
                     float v =
                         static_cast<float>(arow[j + t]) * mult + bv;
@@ -2132,10 +2080,11 @@ blockedGemmInt8Range(int M, int N_per, int K,
  */
 void
 blockedGemmInt8MultiB(int M, int N_per, int K, int nimg,
-                      const int8_t *const *bmats, float *const *cmats,
-                      const ConvConfig &cfg, int threads,
-                      MicroInt8Fn micro, const PackedGemmAInt8 *prea,
-                      const int8_t *a, const QuantConvEpilogue &epi)
+                      const GemmB<int8_t> &b, float *c,
+                      int64_t c_img_stride, const ConvConfig &cfg,
+                      int threads, MicroInt8Fn micro,
+                      const PackedGemmAInt8 *prea, const int8_t *a,
+                      const QuantConvEpilogue &epi)
 {
     const auto [mc, kc, nc] = effectiveBlocking(cfg);
     (void)nc;
@@ -2148,15 +2097,15 @@ blockedGemmInt8MultiB(int M, int N_per, int K, int nimg,
                   "blocking");
     const int64_t total = static_cast<int64_t>(nimg) * N_per;
     if (threads <= 1 || total < 2 * cfg.nr) {
-        blockedGemmInt8Range(M, N_per, K, bmats, cmats, 0, total, cfg,
-                             micro, prea, a, epi);
+        blockedGemmInt8Range(M, N_per, K, b, c, c_img_stride, 0, total,
+                             cfg, micro, prea, a, epi);
         return;
     }
     ThreadPool::global().parallelFor(
         total,
         [&](int64_t j0, int64_t j1) {
-            blockedGemmInt8Range(M, N_per, K, bmats, cmats, j0, j1, cfg,
-                                 micro, prea, a, epi);
+            blockedGemmInt8Range(M, N_per, K, b, c, c_img_stride, j0,
+                                 j1, cfg, micro, prea, a, epi);
         },
         threads);
 }
@@ -2436,10 +2385,8 @@ convForwardInt8Gemm(const ConvProblem &p, const int8_t *qin,
     } else {
         tamres_assert(wq, "convForwardInt8Gemm needs weights");
     }
-    const int oh = p.oh();
-    const int ow = p.ow();
     const int K = p.ic * p.kh * p.kw;
-    const int N = oh * ow;
+    const int N = p.oh() * p.ow();
     const bool pointwise =
         p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0;
 
@@ -2447,51 +2394,15 @@ convForwardInt8Gemm(const ConvProblem &p, const int8_t *qin,
     // fp32 path: a concurrent level/VNNI flip can never mix flavors
     // inside one output).
     const MicroInt8Fn micro = microDispatchInt8(cfg.mr, cfg.nr);
-    const int threads = effectiveThreads(cfg);
-    const size_t in_per = static_cast<size_t>(p.ic) * p.ih * p.iw;
 
-    // Batch the merged-column GEMM in chunks that cap the int8
-    // im2col scratch. Chunking never changes any output bit (integer
-    // adds are associative; the epilogue is per element), so batch-N
-    // stays identical to N separate batch-1 runs regardless of where
-    // the chunk boundaries fall.
-    int n0 = 0;
-    while (n0 < p.n) {
-        int chunk = std::min(p.n - n0, kMaxBatchedCols);
-        if (!pointwise) {
-            while (chunk > 1 && static_cast<size_t>(K) * N * chunk >
-                                    kBatchedColsIm2colCap)
-                --chunk;
-        }
-        const int8_t *bmats[kMaxBatchedCols];
-        float *cmats[kMaxBatchedCols];
-        Scratch &s = scratch();
-        if (!pointwise) {
-            s.qcol.resize(static_cast<size_t>(K) * N * chunk);
-            ThreadPool::global().parallelFor(
-                chunk,
-                [&](int64_t i0, int64_t i1) {
-                    for (int64_t i = i0; i < i1; ++i)
-                        im2colInt8(p, qin, n0 + static_cast<int>(i),
-                                   s.qcol.data() +
-                                       static_cast<size_t>(i) * K * N);
-                },
-                threads);
-        }
-        for (int i = 0; i < chunk; ++i) {
-            bmats[i] = pointwise
-                           ? qin + in_per * (n0 + i)
-                           : s.qcol.data() +
-                                 static_cast<size_t>(i) * K * N;
-            cmats[i] = out + static_cast<int64_t>(n0 + i) * p.oc * oh *
-                                 ow;
-        }
-        QuantConvEpilogue chunk_epi = epi;
-        chunk_epi.act_scales = epi.act_scales + n0;
-        blockedGemmInt8MultiB(p.oc, N, K, chunk, bmats, cmats, cfg,
-                              threads, micro, prea, wq, chunk_epi);
-        n0 += chunk;
-    }
+    // ONE merged-column GEMM over the whole batch, its B panels packed
+    // straight from the quantized input (a padding tap packs q(0) = 0),
+    // so no int8 im2col matrix exists at any batch size.
+    const GemmB<int8_t> b{qin, static_cast<int64_t>(p.ic) * p.ih * p.iw,
+                          pointwise ? nullptr : &p};
+    blockedGemmInt8MultiB(p.oc, N, K, p.n, b, out,
+                          static_cast<int64_t>(p.oc) * N, cfg,
+                          effectiveThreads(cfg), micro, prea, wq, epi);
 }
 
 } // namespace tamres

@@ -358,11 +358,15 @@ void packConvWeightsInt8(const ConvProblem &p, const ConvConfig &cfg,
 
 /**
  * Quantized convolution over an already-quantized int8 input
- * (@p qin, NCHW, quantized per image with @p epi.act_scales). Weights
- * come from @p packed when non-null (must be valid, quantized, built
- * for @p cfg and weight-shape-compatible — the steady-state call then
- * performs no weight packing), else packed on the fly from @p wq.
- * int32 accumulation throughout; the fp32 epilogue writes @p out
+ * (@p qin, NCHW, quantized per image with @p epi.act_scales), run as
+ * one implicit-im2col GEMM over the merged columns of the whole batch:
+ * its quad-K B panels are packed straight from @p qin through the conv
+ * geometry (a padding tap packs q(0) = 0), so no int8 im2col matrix is
+ * built and the batch is never chunked. Weights come from @p packed
+ * when non-null (must be valid, quantized, built for @p cfg and
+ * weight-shape-compatible — the steady-state call then performs no
+ * weight packing), else packed on the fly from @p wq. int32
+ * accumulation throughout; the fp32 epilogue writes @p out
  * (overwrites, never accumulates). Output is bitwise identical across
  * SIMD levels (scalar / AVX2 / VNNI / NEON), thread counts, batch
  * sizes, and prepacked vs on-the-fly weights.

@@ -126,18 +126,10 @@ predictConvSeconds(const ConvProblem &p, const ConvConfig &cfg,
       }
 
       case ConvAlgo::Im2col: {
+        // B panels are packed straight from the input, so a conv costs
+        // what its (ocg x oh*ow x icg*kh*kw) GEMM costs.
         const int64_t K = icg * p.kh * p.kw;
-        const int64_t N = oh * ow;
-        double total = 0.0;
-        // im2col materialization (skipped for pointwise).
-        const bool pointwise = p.kh == 1 && p.kw == 1 &&
-                               p.stride == 1 && p.pad == 0;
-        if (!pointwise)
-            total += 2.0 * 4.0 * static_cast<double>(K) * N /
-                     mm.mem_bw; // write + read back
-        total += p.n * p.groups *
-                 predictGemm(ocg, N, K, cfg, mm);
-        return total;
+        return p.n * p.groups * predictGemm(ocg, oh * ow, K, cfg, mm);
       }
 
       case ConvAlgo::Winograd: {

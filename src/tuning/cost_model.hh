@@ -5,11 +5,11 @@
  * Measurement-driven search (Section VI) spends most of its budget
  * timing configurations that an experienced performance engineer could
  * reject on paper: micro-kernels with poor compute/load ratios, cache
- * blocks that overflow L1/L2, im2col buffers that blow the LLC. This
- * model encodes those first-order effects — arithmetic intensity of
- * the (mr x nr) register tile, cache-fit penalties for the GotoBLAS
- * panels, packing/transform overhead bytes, Winograd's 2.25x multiply
- * reduction less its transform cost — and returns predicted seconds.
+ * blocks that overflow L1/L2. This model encodes those first-order
+ * effects — arithmetic intensity of the (mr x nr) register tile,
+ * cache-fit penalties for the GotoBLAS panels, packing/transform
+ * overhead bytes, Winograd's 2.25x multiply reduction less its
+ * transform cost — and returns predicted seconds.
  *
  * It is a *pre-ranking* model in the spirit of AutoTVM's learned cost
  * model [3]: the tuner still measures, but only the top-K predicted

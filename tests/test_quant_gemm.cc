@@ -129,7 +129,8 @@ int8Config(int mr, int nr, int kc = 16)
 
 /**
  * Run the int8 GEMM via a 1x1 pointwise conv (M=oc, K=ic, N=ih*iw):
- * exactly one blocked GEMM, no im2col copy.
+ * exactly one blocked GEMM, its B panels packed from the input planes
+ * read as a K x N matrix.
  */
 void
 int8GemmViaConv(int M, int N, int K, const ConvConfig &cfg,
@@ -217,26 +218,23 @@ TEST(QuantGemm, PrepackedBitwiseIdenticalToOnTheFly)
     }
 }
 
-TEST(QuantGemm, PlannedPathBitwiseMatchesNaiveOracle)
+/**
+ * Bitwise-compare the planned int8 path on @p p against the naive
+ * oracle (convForwardInt8) over both panel widths, k blocks that split
+ * a quad across a (ky, kx) run (kc 5), leave a k tail (kc 37) or take
+ * the default blocking, the serial and threaded partitions, and every
+ * level x VNNI setting.
+ */
+void
+expectPlannedMatchesOracle(const ConvProblem &p, uint64_t seed)
 {
-    // A real spatial conv (im2col path) with awkward extents.
-    ConvProblem p;
-    p.n = 3;
-    p.ic = 5;
-    p.ih = 9;
-    p.iw = 7;
-    p.oc = 13;
-    p.kh = p.kw = 3;
-    p.stride = 2;
-    p.pad = 1;
-
     const int K = p.ic * p.kh * p.kw;
     const std::vector<float> w = randomVec(
-        static_cast<size_t>(p.oc) * K, 21, 0.5f);
+        static_cast<size_t>(p.oc) * K, seed, 0.5f);
     const std::vector<float> in = randomVec(
-        static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, 22);
+        static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, seed + 1);
     const std::vector<float> bias = randomVec(
-        static_cast<size_t>(p.oc), 23, 0.1f);
+        static_cast<size_t>(p.oc), seed + 2, 0.1f);
 
     std::vector<int8_t> wq;
     std::vector<float> w_scales;
@@ -257,21 +255,61 @@ TEST(QuantGemm, PlannedPathBitwiseMatchesNaiveOracle)
     epi.act_scales = act_scales.data();
     epi.relu = true;
 
-    ConvConfig cfg; // the default int8 blocking QuantConv2d emits
-    ASSERT_TRUE(convConfigValidInt8(p, cfg));
-    PackedConvWeights packed;
-    packConvWeightsInt8(p, cfg, wq.data(), packed);
+    for (const int nr : {8, 16}) {
+        for (const int kc : {5, 37, ConvConfig{}.kc}) {
+            for (const int threads : {1, 4}) {
+                ConvConfig cfg; // otherwise the default int8 blocking
+                cfg.nr = nr;
+                cfg.kc = kc;
+                cfg.threads = threads;
+                ASSERT_TRUE(convConfigValidInt8(p, cfg));
+                PackedConvWeights packed;
+                packConvWeightsInt8(p, cfg, wq.data(), packed);
+                for (const SimdLevel lvl : levels()) {
+                    for (const bool vnni : {false, true}) {
+                        SimdLevelGuard guard(lvl);
+                        SimdVnniGuard vguard(vnni);
+                        std::vector<float> got(out_n, -1e30f);
+                        convForwardInt8Gemm(p, qin.data(), epi,
+                                            wq.data(), &packed,
+                                            got.data(), cfg);
+                        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                                 out_n * sizeof(float)))
+                            << "nr=" << nr << " kc=" << kc
+                            << " threads=" << threads
+                            << " level=" << simdLevelName(lvl)
+                            << " vnni=" << vnni;
+                    }
+                }
+            }
+        }
+    }
+}
 
-    for (const SimdLevel lvl : levels()) {
-        for (const bool vnni : {false, true}) {
-            SimdLevelGuard guard(lvl);
-            SimdVnniGuard vguard(vnni);
-            std::vector<float> got(out_n, -1e30f);
-            convForwardInt8Gemm(p, qin.data(), epi, wq.data(), &packed,
-                                got.data(), cfg);
-            ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                                     out_n * sizeof(float)))
-                << "level=" << simdLevelName(lvl) << " vnni=" << vnni;
+TEST(QuantGemm, PlannedPathBitwiseMatchesNaiveOracle)
+{
+    // Real spatial convs with awkward extents, whose quad-K B panels
+    // are packed straight from the quantized input: every tap geometry
+    // (kernel 1/3/7 x stride 1/2 x pad 0/1/3), widths below nr and off
+    // a multiple of it (7, 23), and panels that cross an image
+    // boundary (batch 3).
+    uint64_t seed = 21;
+    for (const int k : {1, 3, 7}) {
+        for (const int stride : {1, 2}) {
+            for (const int pad : {0, 1, 3}) {
+                for (const int width : {7, 23}) {
+                    for (const int batch : {1, 3}) {
+                        const ConvProblem p{
+                            .n = batch, .ic = 5, .ih = 9, .iw = width,
+                            .oc = 13, .kh = k, .kw = k,
+                            .stride = stride, .pad = pad};
+                        SCOPED_TRACE(p.key());
+                        expectPlannedMatchesOracle(p, seed += 3);
+                        if (HasFatalFailure())
+                            return;
+                    }
+                }
+            }
         }
     }
 }
@@ -279,61 +317,67 @@ TEST(QuantGemm, PlannedPathBitwiseMatchesNaiveOracle)
 TEST(QuantGemm, BatchNBitwiseEqualsNTimesBatchOne)
 {
     // Per-image dynamic scales: each image quantizes on its own max,
-    // so a batch-3 run must reproduce three batch-1 runs exactly.
-    ConvProblem p;
-    p.n = 3;
-    p.ic = 6;
-    p.ih = p.iw = 11;
-    p.oc = 10;
-    p.kh = p.kw = 3;
-    p.stride = 1;
-    p.pad = 1;
+    // so a batch-N run must reproduce N batch-1 runs exactly. The
+    // whole batch is one merged-column GEMM: batch 33 and the 56x56
+    // batch of 10 (an implicit im2col matrix of 8.6 Mi values) check
+    // that no batch-size or matrix-size limit splits it.
+    const ConvProblem shapes[] = {
+        {.n = 3, .ic = 6, .ih = 11, .iw = 11, .oc = 10, .kh = 3,
+         .kw = 3, .stride = 1, .pad = 1},
+        {.n = 33, .ic = 6, .ih = 11, .iw = 11, .oc = 10, .kh = 3,
+         .kw = 3, .stride = 1, .pad = 1},
+        {.n = 10, .ic = 32, .ih = 56, .iw = 56, .oc = 8, .kh = 3,
+         .kw = 3, .stride = 1, .pad = 1},
+    };
+    for (const ConvProblem &p : shapes) {
+        SCOPED_TRACE(p.key());
+        const int K = p.ic * p.kh * p.kw;
+        const std::vector<float> w = randomVec(
+            static_cast<size_t>(p.oc) * K, 31, 0.5f);
+        const std::vector<float> in = randomVec(
+            static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, 32);
 
-    const int K = p.ic * p.kh * p.kw;
-    const std::vector<float> w = randomVec(
-        static_cast<size_t>(p.oc) * K, 31, 0.5f);
-    const std::vector<float> in = randomVec(
-        static_cast<size_t>(p.n) * p.ic * p.ih * p.iw, 32);
+        std::vector<int8_t> wq;
+        std::vector<float> w_scales;
+        quantizeWeights(w, p.oc, K, wq, w_scales);
 
-    std::vector<int8_t> wq;
-    std::vector<float> w_scales;
-    quantizeWeights(w, p.oc, K, wq, w_scales);
+        const size_t per_out =
+            static_cast<size_t>(p.oc) * p.oh() * p.ow();
+        std::vector<float> batched(static_cast<size_t>(p.n) * per_out);
+        convForwardInt8(p, in.data(), 0.0f, wq.data(), w_scales.data(),
+                        nullptr, false, batched.data());
 
-    const size_t per_out = static_cast<size_t>(p.oc) * p.oh() * p.ow();
-    std::vector<float> batched(static_cast<size_t>(p.n) * per_out);
-    convForwardInt8(p, in.data(), 0.0f, wq.data(), w_scales.data(),
-                    nullptr, false, batched.data());
+        std::vector<int8_t> qin;
+        std::vector<float> act_scales;
+        quantizeInput(p, in, qin, act_scales);
+        ConvConfig cfg;
+        QuantConvEpilogue epi;
+        epi.w_scales = w_scales.data();
+        epi.bias = nullptr;
+        epi.act_scales = act_scales.data();
+        epi.relu = false;
 
-    std::vector<int8_t> qin;
-    std::vector<float> act_scales;
-    quantizeInput(p, in, qin, act_scales);
-    ConvConfig cfg;
-    QuantConvEpilogue epi;
-    epi.w_scales = w_scales.data();
-    epi.bias = nullptr;
-    epi.act_scales = act_scales.data();
-    epi.relu = false;
+        std::vector<float> planned(batched.size(), -1e30f);
+        convForwardInt8Gemm(p, qin.data(), epi, wq.data(), nullptr,
+                            planned.data(), cfg);
+        ASSERT_EQ(0, std::memcmp(planned.data(), batched.data(),
+                                 batched.size() * sizeof(float)));
 
-    std::vector<float> planned(batched.size(), -1e30f);
-    convForwardInt8Gemm(p, qin.data(), epi, wq.data(), nullptr,
-                        planned.data(), cfg);
-    ASSERT_EQ(0, std::memcmp(planned.data(), batched.data(),
-                             batched.size() * sizeof(float)));
-
-    // Per-image runs of the planned path, byte-compared slice-wise.
-    ConvProblem p1 = p;
-    p1.n = 1;
-    const size_t per_in = static_cast<size_t>(p.ic) * p.ih * p.iw;
-    for (int n = 0; n < p.n; ++n) {
-        QuantConvEpilogue e1 = epi;
-        e1.act_scales = act_scales.data() + n;
-        std::vector<float> one(per_out, -1e30f);
-        convForwardInt8Gemm(p1, qin.data() + n * per_in, e1, wq.data(),
-                            nullptr, one.data(), cfg);
-        ASSERT_EQ(0, std::memcmp(one.data(),
-                                 planned.data() + n * per_out,
-                                 per_out * sizeof(float)))
-            << "image " << n;
+        // Per-image runs of the planned path, byte-compared slice-wise.
+        ConvProblem p1 = p;
+        p1.n = 1;
+        const size_t per_in = static_cast<size_t>(p.ic) * p.ih * p.iw;
+        for (int n = 0; n < p.n; ++n) {
+            QuantConvEpilogue e1 = epi;
+            e1.act_scales = act_scales.data() + n;
+            std::vector<float> one(per_out, -1e30f);
+            convForwardInt8Gemm(p1, qin.data() + n * per_in, e1,
+                                wq.data(), nullptr, one.data(), cfg);
+            ASSERT_EQ(0, std::memcmp(one.data(),
+                                     planned.data() + n * per_out,
+                                     per_out * sizeof(float)))
+                << "image " << n;
+        }
     }
 }
 

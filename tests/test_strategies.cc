@@ -294,6 +294,19 @@ TEST(CostModel, OversizedCacheBlocksPenalized)
               predictConvSeconds(p, fits, mm));
 }
 
+TEST(CostModel, ConvCostsWhatItsGemmCosts)
+{
+    // B panels are packed straight from the input, so a 3x3 conv
+    // predicts the same seconds as the pointwise conv that poses the
+    // same (M, N, K) GEMM: no im2col matrix is written or read back.
+    const ConvProblem spatial{1, 16, 28, 28, 32, 3, 3, 1, 1, 1};
+    const ConvProblem pointwise{1, 16 * 9, 28, 28, 32, 1, 1, 1, 0, 1};
+    ConvConfig cfg;
+    cfg.algo = ConvAlgo::Im2col;
+    EXPECT_EQ(predictConvSeconds(spatial, cfg),
+              predictConvSeconds(pointwise, cfg));
+}
+
 TEST(CostModel, RankOrdersInvalidLast)
 {
     std::vector<ConvConfig> configs(3);
