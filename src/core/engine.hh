@@ -9,7 +9,10 @@
  * the batch through a private Graph::Executor — so every worker
  * replays cached, shape-keyed batched plans with shared prepacked
  * weights, and the steady-state batch path performs zero weight
- * packing and zero per-request heap allocation.
+ * packing and zero per-request heap allocation. A worker's plans all
+ * alias its executor's one activation arena, so its activation
+ * memory is that of its largest warmed shape, not the sum over the
+ * resolution x batch grid it serves.
  *
  * Load shedding: at batch formation the queue depth picks a tier of
  * a quality ladder (core/quality_ladder.hh), and the batch serves at

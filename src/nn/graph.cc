@@ -280,12 +280,11 @@ Graph::buildPlan(const Shape &input_shape)
         }
     }
 
-    plan->arena.reserve(slot_cap.size());
-    for (int64_t cap : slot_cap)
-        plan->arena.emplace_back(Shape{cap});
+    plan->slot_cap = std::move(slot_cap);
 
-    // Steps are filled after a single resize so the arena views the
-    // input-pointer wiring takes addresses of never move.
+    // Steps are filled after a single resize so the out_views the
+    // input-pointer wiring takes addresses of never move (the
+    // executor re-binds them in place when its slots move).
     plan->steps.resize(nsteps);
     std::vector<const Tensor *> view_of(nodes_.size(), nullptr);
     size_t k = 0;
@@ -306,10 +305,9 @@ Graph::buildPlan(const Shape &input_shape)
             st.cfg = st.qconv->configFor(st.in0_shape);
             st.packed = packFor(*st.qconv, st.in0_shape, st.cfg);
         }
-        if (i == output_) {
-            st.external_out = true;
-        } else {
-            st.out_view = plan->arena[node_slot[i]].alias(shapes[i]);
+        if (i != output_) {
+            st.slot = node_slot[i];
+            st.out_shape = shapes[i];
             view_of[i] = &st.out_view;
         }
         const auto &in_nodes = nodes_[i].inputs;
@@ -353,8 +351,17 @@ int64_t
 Graph::Executor::planArenaNumel(const Shape &input_shape)
 {
     int64_t total = 0;
-    for (const Tensor &buf : planFor(input_shape).arena)
-        total += buf.numel();
+    for (int64_t cap : planFor(input_shape).slot_cap)
+        total += cap;
+    return total;
+}
+
+int64_t
+Graph::Executor::arenaNumel() const
+{
+    int64_t total = 0;
+    for (const Tensor &slot : slots_)
+        total += slot.numel();
     return total;
 }
 
@@ -383,6 +390,7 @@ Graph::Executor::planFor(const Shape &input_shape)
     const uint64_t version = graph_->planVersion();
     if (version != version_seen_) {
         plans_.clear();
+        slots_.clear();
         version_seen_ = version;
     }
 
@@ -397,6 +405,7 @@ Graph::Executor::planFor(const Shape &input_shape)
         plans_.insert(plans_.begin(), graph_->buildPlan(input_shape));
         if (plans_.size() > capacity_)
             plans_.pop_back();
+        fitArena();
     } else if (hit != 0) {
         std::rotate(plans_.begin(), plans_.begin() + hit,
                     plans_.begin() + hit + 1);
@@ -436,6 +445,37 @@ Graph::Executor::planFor(const Shape &input_shape)
 }
 
 void
+Graph::Executor::fitArena()
+{
+    std::vector<int64_t> need;
+    for (const auto &plan : plans_) {
+        if (need.size() < plan->slot_cap.size())
+            need.resize(plan->slot_cap.size(), 0);
+        for (size_t s = 0; s < plan->slot_cap.size(); ++s)
+            need[s] = std::max(need[s], plan->slot_cap[s]);
+    }
+    // Drop every view before reallocating so an old buffer is freed
+    // before its replacement is allocated.
+    for (auto &plan : plans_) {
+        for (PlanStep &st : plan->steps)
+            st.out_view = Tensor();
+    }
+    slots_.resize(need.size());
+    for (size_t s = 0; s < need.size(); ++s) {
+        if (slots_[s].numel() != need[s]) {
+            slots_[s] = Tensor();
+            slots_[s] = Tensor(Shape{need[s]});
+        }
+    }
+    for (auto &plan : plans_) {
+        for (PlanStep &st : plan->steps) {
+            if (st.slot >= 0)
+                st.out_view = slots_[st.slot].alias(st.out_shape);
+        }
+    }
+}
+
+void
 Graph::executePlan(Plan &plan, const Tensor &input, Tensor &out)
 {
     if (out.shape() != plan.output_shape)
@@ -448,7 +488,7 @@ Graph::executePlan(Plan &plan, const Tensor &input, Tensor &out)
     for (PlanStep &st : plan.steps) {
         for (int idx : st.input_patch)
             st.ins[idx] = &input;
-        Tensor &dst = st.external_out ? out : st.out_view;
+        Tensor &dst = st.slot < 0 ? out : st.out_view;
         if (observer_)
             observer_(*st.op, st.ins);
         if (st.conv)

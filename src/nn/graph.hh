@@ -5,41 +5,47 @@
  * Steady-state execution goes through cached *execution plans*: the
  * first run() at a given input shape compiles a Plan — topological
  * schedule over the live nodes, inferred shapes, a liveness-based
- * arena that hosts every intermediate in a handful of reusable
- * buffers, the resolved ConvConfig per convolution, and that config's
- * prepacked weight panels — and subsequent runs at that shape replay
- * it with zero graph analysis, zero heap allocation (runInto() with a
- * caller-reused output is fully allocation-free; run() allocates only
- * the returned tensor), and zero weight packing (only activation B
- * panels, packed straight from the input, are packed per request).
- * Plans are keyed by input shape, so dynamic-resolution serving hits
- * one cached plan per resolution. Any structural mutation (add,
- * setOutput, replaceOp, rewire) invalidates the cache; kernel-selector
- * changes (mode flips, new tuned configs) only re-resolve the cached
- * conv configs in place.
+ * slot assignment that hosts every intermediate in a handful of
+ * reusable arena slots, the resolved ConvConfig per convolution, and
+ * that config's prepacked weight panels — and subsequent runs at that
+ * shape replay it with zero graph analysis, zero heap allocation
+ * (runInto() with a caller-reused output is fully allocation-free;
+ * run() allocates only the returned tensor), and zero weight packing
+ * (only activation B panels, packed straight from the input, are
+ * packed per request). Plans are keyed by input shape, so
+ * dynamic-resolution serving hits one cached plan per resolution. Any
+ * structural mutation (add, setOutput, replaceOp, rewire) invalidates
+ * the cache; kernel-selector changes (mode flips, new tuned configs)
+ * only re-resolve the cached conv configs in place.
  *
  * Arena lifetime contract: the tensors a plan's steps write are views
- * onto plan-owned buffers that are reused both across nodes within a
- * run (when lifetimes don't overlap) and across runs. Only the graph
- * input (borrowed from the caller for the duration of the call) and
- * the output (written to caller-owned storage) cross the plan
- * boundary; observers must not retain the tensor pointers they are
- * shown (they were never allowed to).
+ * onto arena slots owned by the Executor that compiled the plan, and
+ * are reused across nodes within a run (when lifetimes don't
+ * overlap), across runs, and across the executor's plans: an
+ * Executor runs one plan at a time, so every plan it caches aliases
+ * the same slots, each sized to the largest capacity any of its
+ * plans asks of it. A worker's activation memory is therefore that
+ * of its largest warmed shape, not the sum over its resolution x
+ * batch grid. Only the graph input (borrowed from the caller for the
+ * duration of the call) and the output (written to caller-owned
+ * storage) cross the plan boundary; observers must not retain the
+ * tensor pointers they are shown (they were never allowed to).
  *
  * Concurrency contract (the serving engine's substrate): plans carry
- * per-run mutable state (arena buffers, patched input pointers), so a
- * plan cache must never be shared by two threads. Graph::Executor
- * gives each serving worker a private plan cache over the SAME graph;
- * any number of executors may run concurrently as long as nothing
- * mutates the graph meanwhile. Legal while executors are running:
- * invalidatePlans() (executors notice the version bump and recompile
- * on their next run) and executing at new shapes (prepacked weights
- * are shared through a mutex-protected per-graph cache, so a config's
- * weights are packed once, not once per executor). Illegal while any
- * executor is running: structural mutations (add, setOutput,
- * replaceOp, rewire), mutating op parameters in place, setObserver,
- * and KernelSelector registrations — quiesce the workers first (the
- * engine's drain()), then mutate, then resume.
+ * per-run mutable state (views of the executor's arena slots, patched
+ * input pointers), so a plan cache must never be shared by two
+ * threads. Graph::Executor gives each serving worker a private plan
+ * cache over the SAME graph; any number of executors may run
+ * concurrently as long as nothing mutates the graph meanwhile. Legal
+ * while executors are running: invalidatePlans() (executors notice
+ * the version bump and recompile on their next run) and executing at
+ * new shapes (prepacked weights are shared through a mutex-protected
+ * per-graph cache, so a config's weights are packed once, not once
+ * per executor). Illegal while any executor is running: structural
+ * mutations (add, setOutput, replaceOp, rewire), mutating op
+ * parameters in place, setObserver, and KernelSelector registrations
+ * — quiesce the workers first (the engine's drain()), then mutate,
+ * then resume.
  */
 
 #ifndef TAMRES_NN_GRAPH_HH
@@ -170,10 +176,10 @@ class Graph
     size_t cachedPlanCount() const;
 
     /**
-     * Total floats of arena backing storage in the plan for
-     * @p input_shape (compiling it if absent) — introspection for
-     * tests and capacity planning. Far below the sum of live
-     * intermediate sizes when liveness-based reuse is working.
+     * Floats of arena storage the plan for @p input_shape needs
+     * (compiling it if absent) — introspection for tests and capacity
+     * planning. Far below the sum of live intermediate sizes when
+     * liveness-based reuse is working.
      */
     int64_t planArenaNumel(const Shape &input_shape);
 
@@ -247,7 +253,11 @@ class Graph
         std::vector<NodeId> inputs;
     };
 
-    /** One scheduled op of a compiled plan. */
+    /**
+     * One scheduled op of a compiled plan. A step owns no activation
+     * storage: it names the arena slot its output lives in and the
+     * output shape, and its Executor binds out_view onto that slot.
+     */
     struct PlanStep
     {
         Op *op = nullptr;
@@ -267,19 +277,24 @@ class Graph
          */
         std::shared_ptr<const PackedConvWeights> packed;
         Shape in0_shape;              //!< first input (config re-resolve)
-        Tensor out_view;   //!< arena view (empty when external output)
-        bool external_out = false; //!< write the caller's out tensor
+        Shape out_shape;
+        int slot = -1; //!< arena slot; -1 writes the caller's out
+        Tensor out_view;   //!< view of the executor's slot (bound)
         std::vector<const Tensor *> ins; //!< patched per execute
         std::vector<int> input_patch;    //!< ins[] slots fed by the
                                          //!< borrowed graph input
     };
 
-    /** A compiled schedule + arena for one input shape. */
+    /**
+     * A compiled schedule for one input shape, plus the arena layout
+     * it needs: slot_cap[s] floats in slot s. The plan holds no
+     * buffers; its steps' out_views alias its Executor's slots.
+     */
     struct Plan
     {
         Shape input_shape;
         Shape output_shape;
-        std::vector<Tensor> arena;   //!< reusable backing buffers
+        std::vector<int64_t> slot_cap; //!< floats needed per slot
         std::vector<PlanStep> steps;
         uint64_t selector_gen = 0;   //!< KernelSelector generation at
                                      //!< config resolution time
@@ -336,7 +351,15 @@ class Graph
  * at a time; concurrent runInto() on DIFFERENT executors is safe
  * under the Graph concurrency contract above. Executors observe
  * Graph::invalidatePlans() through the plan version and drop their
- * plans on the next run.
+ * plans (and size their arena afresh) on the next run.
+ *
+ * The Executor owns one activation arena that all of its plans
+ * alias: slot s holds the largest slot_cap[s] among the cached plans.
+ * Compiling a plan that needs a bigger slot (or evicting the only
+ * plan that needed one) reallocates that slot and re-binds every
+ * cached plan onto the new buffers — at compile time only, so replay
+ * stays allocation-free. Caching more plans (plan_capacity) costs
+ * their schedules, not more activation memory.
  */
 class Graph::Executor
 {
@@ -345,7 +368,9 @@ class Graph::Executor
      * @param graph          the graph to execute (must outlive this)
      * @param plan_capacity  plans kept (MRU); serving over R
      *                       resolutions x B batch sizes wants >= R*B
-     *                       to avoid recompiling in steady state
+     *                       to avoid recompiling in steady state (the
+     *                       plans share one arena, so this does not
+     *                       multiply activation memory)
      */
     explicit Executor(Graph &graph, size_t plan_capacity = 8);
     ~Executor();
@@ -365,11 +390,24 @@ class Graph::Executor
     /** Plans currently cached (0 after an unseen invalidation). */
     size_t cachedPlanCount() const;
 
-    /** Arena floats of the plan for @p input_shape (compiles it). */
+    /** Arena floats the plan for @p input_shape needs (compiles it). */
     int64_t planArenaNumel(const Shape &input_shape);
+
+    /**
+     * Arena floats this executor holds: the max over its cached
+     * plans' needs, slot by slot, not their sum.
+     */
+    int64_t arenaNumel() const;
 
   private:
     Graph::Plan &planFor(const Shape &input_shape);
+
+    /**
+     * Size the slots to the cached plans' elementwise max slot_cap
+     * and re-bind every cached plan's step views onto them. Runs
+     * only when a plan is compiled.
+     */
+    void fitArena();
 
     Graph *graph_;
     size_t capacity_;
@@ -377,6 +415,9 @@ class Graph::Executor
 
     /** MRU-ordered plan cache (front = most recent). */
     std::vector<std::unique_ptr<Plan>> plans_;
+
+    /** Arena slots every cached plan's step views alias. */
+    std::vector<Tensor> slots_;
 };
 
 } // namespace tamres

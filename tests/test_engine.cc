@@ -702,6 +702,40 @@ TEST(ServingEngineSteadyState, BatchPathIsAllocAndPackFree)
     EXPECT_EQ(g_alloc_count.load(), allocs)
         << (g_alloc_count.load() - allocs)
         << " heap allocations in 3 steady-state engine rounds";
+
+    // Two resolutions: every worker's plans for both alias one arena,
+    // and alternating them after warm-up stays alloc- and pack-free.
+    const int res2 = 64;
+    EngineConfig cfg2 = cfg;
+    for (int b = 1; b <= 4; ++b)
+        cfg2.warm_shapes.push_back({b, 3, res2, res2});
+    ServingEngine engine2(*g, cfg2);
+    std::vector<InferenceRequest> lo(4), hi(4);
+    for (auto &r : lo)
+        r.input = randomInput(res, 97);
+    for (auto &r : hi)
+        r.input = randomInput(res2, 98);
+    auto serveRes = [&](std::vector<InferenceRequest> &rs) {
+        for (auto &r : rs)
+            ASSERT_TRUE(engine2.submit(r));
+        for (auto &r : rs) {
+            engine2.wait(r);
+            ASSERT_EQ(r.stateNow(), RequestState::Done);
+        }
+    };
+    for (int i = 0; i < 6; ++i)
+        serveRes(i % 2 ? hi : lo);
+
+    const uint64_t packs2 = convWeightPackCount();
+    const uint64_t allocs2 = g_alloc_count.load();
+    for (int i = 0; i < 6; ++i)
+        serveRes(i % 2 ? hi : lo);
+    EXPECT_EQ(convWeightPackCount(), packs2)
+        << "steady-state engine batches packed weights across "
+           "resolutions";
+    EXPECT_EQ(g_alloc_count.load(), allocs2)
+        << (g_alloc_count.load() - allocs2)
+        << " heap allocations in 6 alternating-resolution rounds";
 }
 
 // --- Int8 precision tier ---------------------------------------------

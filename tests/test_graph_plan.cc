@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "nn/builders.hh"
 #include "nn/graph.hh"
@@ -515,6 +519,115 @@ TEST(GraphPlanAlloc, ArenaReusesBuffersAcrossLifetimes)
     EXPECT_LT(arena * 4, naive_total)
         << "arena " << arena << " floats vs naive " << naive_total;
     EXPECT_EQ(g->cachedPlanCount(), 1u);
+}
+
+TEST(GraphPlanAlloc, ExecutorArenaHoldsLargestPlanOnly)
+{
+    // Dynamic-resolution serving warms one plan per (resolution,
+    // batch). The plans alias one executor-owned arena, so the
+    // executor holds its largest plan's activations, not the grid's
+    // sum.
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    Graph::Executor exec(*g, 16);
+    int64_t largest = 0, sum = 0;
+    for (const int res : {96, 128, 160, 224}) {
+        for (int b = 1; b <= 4; ++b) {
+            const Shape shape{b, 3, res, res};
+            exec.warm(shape);
+            const int64_t need = exec.planArenaNumel(shape);
+            largest = std::max(largest, need);
+            sum += need;
+        }
+    }
+    EXPECT_EQ(exec.cachedPlanCount(), 16u);
+    EXPECT_EQ(exec.arenaNumel(), largest)
+        << "executor holds " << exec.arenaNumel()
+        << " floats; its largest plan needs " << largest;
+    EXPECT_LT(exec.arenaNumel() * 4, sum);
+}
+
+TEST(GraphPlanAlloc, ArenaGrowthRebindsCachedPlans)
+{
+    // Each larger shape reallocates the executor's slots after the
+    // smaller plans were bound to them. Those plans must be re-bound:
+    // a stale view would pin (and write) a discarded buffer. Every
+    // output must match a fresh executor's for that shape, bit for
+    // bit, in any compile order.
+    auto g = buildResNet18(8, 5);
+    optimizeForInference(*g);
+    struct Case
+    {
+        int res, batch;
+    };
+    const Case cases[] = {{96, 1}, {160, 2}, {224, 4}};
+    std::vector<Tensor> inputs, refs;
+    for (const Case &c : cases) {
+        Tensor in({c.batch, 3, c.res, c.res});
+        Rng rng(50 + c.res);
+        fillUniform(in, rng, 0.0f, 1.0f);
+        Graph::Executor fresh(*g);
+        refs.push_back(fresh.run(in));
+        inputs.push_back(std::move(in));
+    }
+
+    // Activations the steps read, by buffer address: once the arena
+    // has grown, every plan must read the same slots.
+    std::set<const float *> *record = nullptr;
+    const float *graph_in = nullptr;
+    g->setObserver([&](const Op &, const std::vector<const Tensor *> &ins) {
+        for (const Tensor *t : ins) {
+            if (record && t->data() != graph_in)
+                record->insert(t->data());
+        }
+    });
+    std::set<const float *> after_growth, largest_run;
+
+    Graph::Executor exec(*g, 16);
+    int64_t largest = 0;
+    // Grow small -> large, then interleave the warmed shapes.
+    const int order[] = {0, 1, 2, 0, 2, 0, 1, 2};
+    for (size_t i = 0; i < std::size(order); ++i) {
+        const int k = order[i];
+        record = i == 4 ? &largest_run : i > 2 ? &after_growth : nullptr;
+        graph_in = inputs[k].data();
+        const Tensor out = exec.run(inputs[k]);
+        EXPECT_TRUE(bitIdentical(out, refs[k]))
+            << cases[k].res << " px, batch " << cases[k].batch;
+        largest = std::max(largest,
+                           exec.planArenaNumel(inputs[k].shape()));
+        EXPECT_EQ(exec.arenaNumel(), largest)
+            << "after " << cases[k].res << " px, batch "
+            << cases[k].batch;
+    }
+    g->setObserver(nullptr);
+    EXPECT_FALSE(largest_run.empty());
+    EXPECT_EQ(after_growth, largest_run)
+        << "a plan compiled before the arena grew still reads a "
+           "buffer of its own";
+
+    // Recompiled plans size the arena afresh; the old max is dropped.
+    g->invalidatePlans();
+    EXPECT_TRUE(bitIdentical(exec.run(inputs[0]), refs[0]));
+    EXPECT_EQ(exec.cachedPlanCount(), 1u);
+    EXPECT_EQ(exec.arenaNumel(), exec.planArenaNumel(inputs[0].shape()));
+    EXPECT_LT(exec.arenaNumel(), largest);
+}
+
+TEST(GraphPlanAlloc, ArenaShrinksWhenLargestPlanIsEvicted)
+{
+    Graph g;
+    const auto a =
+        g.add(std::make_unique<ScaleOp>("a", 2.0f), {Graph::kInput});
+    g.add(std::make_unique<ScaleOp>("b", 3.0f), {a});
+    Graph::Executor exec(g, 1);
+    Tensor big({1, 64}, std::vector<float>(64, 1.0f));
+    Tensor small({1, 8}, std::vector<float>(8, 1.0f));
+    EXPECT_EQ(exec.run(big)[63], 6.0f);
+    EXPECT_EQ(exec.arenaNumel(), 64);
+    EXPECT_EQ(exec.run(small)[7], 6.0f);
+    EXPECT_EQ(exec.cachedPlanCount(), 1u);
+    EXPECT_EQ(exec.arenaNumel(), 8);
 }
 
 } // namespace
