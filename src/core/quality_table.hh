@@ -9,6 +9,14 @@
  * the experiments (Fig. 6, Tables III/IV) is derived from these
  * measured tables — nothing is assumed about the codec's rate/quality
  * behaviour.
+ *
+ * Images build in parallel, one per pool thread, and each SSIM streams
+ * its blur row by row (image/metrics.hh), so no thread holds per-image
+ * full-plane buffers beyond the decodes themselves. Every entry is
+ * bitwise independent of the thread count. In builds without FMA code
+ * generation (the default portable build, not TAMRES_NATIVE=ON) the
+ * SSIM of two given decodes is also bitwise independent of the SIMD
+ * level.
  */
 
 #ifndef TAMRES_CORE_QUALITY_TABLE_HH

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace tamres {
 
@@ -222,20 +223,33 @@ ScaleModel::train(const SyntheticDataset &dataset, int first, int last,
                                opts_.seed * 131 + s + 1);
     }
 
-    // Materialize features and multilabel targets once.
+    // Materialize features and multilabel targets once. The crop
+    // draws come first, in image order, so the features (independent
+    // per image) render in parallel without moving the rng.
     Rng rng(opts_.seed ^ 0xfeedull);
+    std::vector<double> crops(n);
+    for (int i = 0; i < n; ++i)
+        crops[i] = crop_areas[rng.uniformInt(
+            static_cast<uint64_t>(crop_areas.size()))];
     std::vector<Tensor> feats(n);
+    ThreadPool::global().parallelFor(
+        n,
+        [&](int64_t i0, int64_t i1) {
+            for (int64_t i = i0; i < i1; ++i) {
+                const Image full = dataset.renderAt(
+                    first + static_cast<int>(i), preview_side);
+                const Image cropped = centerCropFraction(full, crops[i]);
+                const Image preview =
+                    resize(cropped, opts_.input_res, opts_.input_res);
+                feats[i] = featurize(preview);
+            }
+        },
+        ThreadPool::defaultParallelism());
+
     std::vector<Tensor> targets(n);
     for (int i = 0; i < n; ++i) {
-        const int rec_idx = first + i;
-        const ImageRecord &rec = dataset.record(rec_idx);
-        const double crop = crop_areas[rng.uniformInt(
-            static_cast<uint64_t>(crop_areas.size()))];
-        const Image full = dataset.renderAt(rec_idx, preview_side);
-        const Image cropped = centerCropFraction(full, crop);
-        const Image preview =
-            resize(cropped, opts_.input_res, opts_.input_res);
-        feats[i] = featurize(preview);
+        const ImageRecord &rec = dataset.record(first + i);
+        const double crop = crops[i];
 
         // Shard of this image within [first, last).
         int shard = 0;

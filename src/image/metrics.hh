@@ -23,7 +23,16 @@ double psnr(const Image &a, const Image &b);
 
 /**
  * Mean SSIM over all channels using an 11x11 Gaussian window
- * (sigma = 1.5). Images must have identical dimensions.
+ * (sigma = 1.5, edge-clamped). Images must have identical dimensions.
+ *
+ * The blur streams rows: each source row is blurred horizontally into
+ * an 11-row ring and each output row vertically, then folded straight
+ * into the running mean, so only O(width) scratch is live. In builds
+ * without FMA code generation (the default portable build, not
+ * TAMRES_NATIVE=ON) every value is bitwise equal to the two-pass
+ * definition (full-plane horizontal blur, full-plane vertical blur,
+ * one row-major sum) at every SIMD level: the vector taps keep the
+ * scalar multiplies and adds separate and in tap order.
  */
 double ssim(const Image &a, const Image &b);
 
@@ -36,6 +45,7 @@ double ssim(const Image &a, const Image &b);
  * stored resolution — exactly the regime the paper's storage
  * calibration operates in (Section VIII-c). Levels are clamped so the
  * coarsest scale keeps the 11-tap window; images must be >= 11 px.
+ * Each scale runs ssim()'s streamed blur, bit-identical likewise.
  */
 double msSsim(const Image &a, const Image &b, int levels = 5);
 

@@ -1,9 +1,11 @@
 #include "tensor/tensor_ops.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/rng.hh"
 #include "util/simd.hh"
+#include "util/thread_pool.hh"
 
 namespace tamres {
 
@@ -163,10 +165,27 @@ fillUniform(Tensor &t, Rng &rng, float lo, float hi)
 void
 fillNormal(Tensor &t, Rng &rng, float sd)
 {
+    // Nearly all the time goes to the transform's log/sqrt/cos, so the
+    // uniforms are drawn in order on this thread, a block at a time,
+    // and transformed in parallel.
+    constexpr int64_t kBlock = 64 * 1024;
     float *p = t.data();
     const int64_t n = t.numel();
-    for (int64_t i = 0; i < n; ++i)
-        p[i] = static_cast<float>(rng.normal(0.0, sd));
+    std::vector<double> u(static_cast<size_t>(2 * std::min(n, kBlock)));
+    for (int64_t b0 = 0; b0 < n; b0 += kBlock) {
+        const int64_t len = std::min(kBlock, n - b0);
+        for (int64_t j = 0; j < 2 * len; ++j)
+            u[j] = rng.uniform();
+        float *out = p + b0;
+        ThreadPool::global().parallelFor(
+            len,
+            [&](int64_t i0, int64_t i1) {
+                for (int64_t i = i0; i < i1; ++i)
+                    out[i] = static_cast<float>(
+                        0.0 + sd * Rng::boxMuller(u[2 * i], u[2 * i + 1]));
+            },
+            ThreadPool::defaultParallelism());
+    }
 }
 
 void

@@ -26,7 +26,13 @@ void reluInto(const Tensor &a, Tensor &out);
 /** Fill with uniform values in [lo, hi) from an explicit generator. */
 void fillUniform(Tensor &t, class Rng &rng, float lo, float hi);
 
-/** Fill with N(0, sd) values. */
+/**
+ * Fill with N(0, sd) values: element i is rng.normal(0, sd) of the
+ * i-th pair of draws, so the fill consumes exactly two draws per
+ * element and leaves @p rng in the same state at any thread count.
+ * The uniforms are drawn in order on the calling thread, 64 Ki
+ * elements at a time, and the Box–Muller transform runs on the pool.
+ */
 void fillNormal(Tensor &t, class Rng &rng, float sd);
 
 /**

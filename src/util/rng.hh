@@ -81,12 +81,22 @@ class Rng
             static_cast<uint64_t>(hi - lo + 1)));
     }
 
-    /** Standard normal via Box–Muller. */
+    /** Standard normal via Box–Muller (two uniform draws). */
     double
     normal()
     {
-        double u1 = uniform();
-        double u2 = uniform();
+        const double u1 = uniform();
+        return boxMuller(u1, uniform());
+    }
+
+    /**
+     * The Box–Muller transform normal() applies to its two uniforms
+     * (@p u1 drawn first). Pure, so callers may draw the uniforms in
+     * order and transform them elsewhere, e.g. on other threads.
+     */
+    static double
+    boxMuller(double u1, double u2)
+    {
         if (u1 < 1e-300)
             u1 = 1e-300;
         return std::sqrt(-2.0 * std::log(u1)) *

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/pipeline.hh"
 #include "core/staged_engine.hh"
+#include "tests/threads_env.hh"
 
 namespace tamres {
 namespace {
@@ -243,6 +247,54 @@ TEST(ScaleModel, LearnsScaleSignal)
         mean_full += scale.chooseResolution(full);
     }
     EXPECT_LE(mean_small_crop / n_eval, mean_full / n_eval + 1e-9);
+}
+
+TEST(ScaleModel, TrainingIsThreadCountInvariant)
+{
+    // Features render in parallel; the crop draws, targets and SGD
+    // stay serial, so the trained model must not depend on threads.
+    SyntheticDataset ds(tinySpec(), 80, 21);
+    ScaleModelOptions opts;
+    opts.epochs = 4;
+    std::vector<std::vector<float>> logits[2];
+    for (int t = 0; t < 2; ++t) {
+        ThreadsEnv env(t == 0 ? 1 : 4);
+        ScaleModel scale({112, 224, 448}, opts);
+        scale.train(ds, 0, 64, BackboneArch::ResNet18, {0.25, 0.56, 1.0},
+                    128);
+        for (int i = 64; i < 80; ++i) {
+            const Tensor l = scale.predictLogits(ds.renderAt(i, 128));
+            logits[t].emplace_back(l.data(), l.data() + l.numel());
+        }
+    }
+    ASSERT_EQ(logits[0].size(), 16u);
+    for (size_t i = 0; i < logits[0].size(); ++i) {
+        ASSERT_EQ(logits[0][i].size(), logits[1][i].size());
+        EXPECT_EQ(0, std::memcmp(logits[0][i].data(), logits[1][i].data(),
+                                 logits[0][i].size() * sizeof(float)))
+            << "preview " << i;
+    }
+}
+
+TEST(QualityTable, EntriesAreThreadCountInvariant)
+{
+    SyntheticDataset ds(tinySpec(), 6, 5);
+    std::vector<ImageQuality> entries[2];
+    for (int t = 0; t < 2; ++t) {
+        ThreadsEnv env(t == 0 ? 1 : 4);
+        const QualityTable table(ds, 0, 6, {64, 112});
+        for (int i = 0; i < table.numImages(); ++i)
+            entries[t].push_back(table.entry(i));
+    }
+    for (size_t i = 0; i < entries[0].size(); ++i) {
+        const ImageQuality &a = entries[0][i];
+        const ImageQuality &b = entries[1][i];
+        ASSERT_EQ(a.ssim.size(), b.ssim.size());
+        EXPECT_EQ(0, std::memcmp(a.ssim.data(), b.ssim.data(),
+                                 a.ssim.size() * sizeof(double)))
+            << "image " << i;
+        EXPECT_EQ(a.read_fraction, b.read_fraction);
+    }
 }
 
 TEST(Pipeline, BackboneGflopsAnchors)

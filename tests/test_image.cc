@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "image/image.hh"
 #include "image/metrics.hh"
 #include "image/synthetic.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace tamres {
 namespace {
@@ -189,6 +194,190 @@ TEST(Metrics, SsimInvariantVsPsnrToMeanShift)
         shifted.data()[i] = std::clamp(a.data()[i] + 0.05f, 0.0f, 1.0f);
     EXPECT_GT(ssim(a, shifted), 0.9);
     EXPECT_LT(psnr(a, shifted), 30.0);
+}
+
+/*
+ * Reference SSIM and MS-SSIM: the two-pass definition (a full-plane
+ * horizontal blur, then a full-plane vertical blur, each tap clamped
+ * at the edges, then one row-major sum). ssim() and msSsim() stream
+ * rows instead and must match these bit for bit at every SIMD level.
+ */
+std::vector<double>
+refBlurPlane(const float *src, int h, int w)
+{
+    std::array<double, 11> k{};
+    double sum = 0.0;
+    for (int i = 0; i < 11; ++i) {
+        const double d = i - 5;
+        k[i] = std::exp(-d * d / (2 * 1.5 * 1.5));
+        sum += k[i];
+    }
+    for (double &v : k)
+        v /= sum;
+    std::vector<double> tmp(static_cast<size_t>(h) * w);
+    std::vector<double> out(static_cast<size_t>(h) * w);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            double acc = 0.0;
+            for (int i = 0; i < 11; ++i) {
+                const int xx = std::clamp(x + i - 5, 0, w - 1);
+                acc += k[i] * src[y * w + xx];
+            }
+            tmp[static_cast<size_t>(y) * w + x] = acc;
+        }
+    }
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            double acc = 0.0;
+            for (int i = 0; i < 11; ++i) {
+                const int yy = std::clamp(y + i - 5, 0, h - 1);
+                acc += k[i] * tmp[static_cast<size_t>(yy) * w + x];
+            }
+            out[static_cast<size_t>(y) * w + x] = acc;
+        }
+    }
+    return out;
+}
+
+/** Per-channel means of the reference's blurred moments, combined. */
+struct RefTerms
+{
+    double ssim = 0.0; //!< mean num / den
+    double cs = 0.0;   //!< mean contrast-structure term
+    double full = 0.0; //!< mean lum * cs
+};
+
+RefTerms
+refTerms(const Image &a, const Image &b)
+{
+    const double c1 = 0.01 * 0.01;
+    const double c2 = 0.03 * 0.03;
+    const int h = a.height();
+    const int w = a.width();
+    RefTerms t;
+    for (int c = 0; c < a.channels(); ++c) {
+        const float *pa = a.plane(c);
+        const float *pb = b.plane(c);
+        const size_t n = static_cast<size_t>(h) * w;
+        std::vector<float> aa(n), bb(n), ab(n);
+        for (size_t i = 0; i < n; ++i) {
+            aa[i] = pa[i] * pa[i];
+            bb[i] = pb[i] * pb[i];
+            ab[i] = pa[i] * pb[i];
+        }
+        const auto mu_a = refBlurPlane(pa, h, w);
+        const auto mu_b = refBlurPlane(pb, h, w);
+        const auto m_aa = refBlurPlane(aa.data(), h, w);
+        const auto m_bb = refBlurPlane(bb.data(), h, w);
+        const auto m_ab = refBlurPlane(ab.data(), h, w);
+        double acc = 0.0, acc_cs = 0.0, acc_full = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+            const double ma = mu_a[i];
+            const double mb = mu_b[i];
+            const double va = m_aa[i] - ma * ma;
+            const double vb = m_bb[i] - mb * mb;
+            const double cov = m_ab[i] - ma * mb;
+            const double num = (2 * ma * mb + c1) * (2 * cov + c2);
+            const double den = (ma * ma + mb * mb + c1) * (va + vb + c2);
+            acc += num / den;
+            const double cs = (2 * cov + c2) / (va + vb + c2);
+            const double lum =
+                (2 * ma * mb + c1) / (ma * ma + mb * mb + c1);
+            acc_cs += cs;
+            acc_full += lum * cs;
+        }
+        t.ssim += acc / static_cast<double>(n);
+        t.cs += acc_cs / static_cast<double>(n);
+        t.full += acc_full / static_cast<double>(n);
+    }
+    t.ssim /= a.channels();
+    t.cs /= a.channels();
+    t.full /= a.channels();
+    return t;
+}
+
+double
+refMsSsim(const Image &a, const Image &b, int levels)
+{
+    static const double kWeights[5] = {0.0448, 0.2856, 0.3001, 0.2363,
+                                       0.1333};
+    levels = std::min(levels, 5);
+    while (levels > 1 &&
+           (std::min(a.height(), a.width()) >> (levels - 1)) < 11)
+        --levels;
+    double wsum = 0.0;
+    for (int l = 0; l < levels; ++l)
+        wsum += kWeights[l];
+    Image ca = a, cb = b;
+    double score = 1.0;
+    for (int l = 0; l < levels; ++l) {
+        const RefTerms t = refTerms(ca, cb);
+        const double term = (l == levels - 1) ? t.full : t.cs;
+        score *= std::pow(std::max(term, 1e-9), kWeights[l] / wsum);
+        if (l + 1 < levels) {
+            ca = resizeArea(ca, std::max(1, ca.height() / 2),
+                            std::max(1, ca.width() / 2));
+            cb = resizeArea(cb, std::max(1, cb.height() / 2),
+                            std::max(1, cb.width() / 2));
+        }
+    }
+    return score;
+}
+
+Image
+filledImage(int h, int w, int channels, Rng *rng, float constant)
+{
+    Image img(h, w, channels);
+    for (size_t i = 0; i < img.numel(); ++i)
+        img.data()[i] =
+            rng ? static_cast<float>(rng->uniform()) : constant;
+    return img;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+TEST(Metrics, SsimAndMsSsimBitIdenticalToTwoPassReference)
+{
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+    // With FMA codegen (e.g. -DTAMRES_NATIVE=ON) the compiler may fuse
+    // the reference's or the scalar path's multiply-adds differently.
+    GTEST_SKIP() << "multiply-adds may be FMA-contracted in this build";
+#endif
+    const int sides[] = {1, 5, 10, 11, 12, 37, 224};
+    std::vector<SimdLevel> levels = {SimdLevel::Scalar};
+    if (simdDetected() != SimdLevel::Scalar)
+        levels.push_back(simdDetected());
+    Rng rng(2024);
+    for (int h : sides) {
+        for (int w : sides) {
+            for (int channels : {1, 3}) {
+                // Random vs random, random vs itself, constant vs
+                // constant, and constant vs random.
+                const Image r1 = filledImage(h, w, channels, &rng, 0);
+                const Image r2 = filledImage(h, w, channels, &rng, 0);
+                const Image k1 = filledImage(h, w, channels, nullptr, 0.3f);
+                const Image k2 = filledImage(h, w, channels, nullptr, 0.7f);
+                const std::pair<const Image *, const Image *> pairs[] = {
+                    {&r1, &r2}, {&r1, &r1}, {&k1, &k2}, {&k1, &r2}};
+                for (const auto &[a, b] : pairs) {
+                    const double want = refTerms(*a, *b).ssim;
+                    const double want_ms = refMsSsim(*a, *b, 5);
+                    for (SimdLevel level : levels) {
+                        SimdLevelGuard guard(level);
+                        SCOPED_TRACE(testing::Message()
+                                     << h << "x" << w << "x" << channels
+                                     << " " << simdLevelName(level));
+                        EXPECT_EQ(bitsOf(ssim(*a, *b)), bitsOf(want));
+                        EXPECT_EQ(bitsOf(msSsim(*a, *b)), bitsOf(want_ms));
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Synthetic, Deterministic)

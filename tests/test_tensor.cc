@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/tensor.hh"
 #include "tensor/tensor_ops.hh"
 #include "util/rng.hh"
+#include "tests/threads_env.hh"
 
 namespace tamres {
 namespace {
@@ -160,6 +164,34 @@ TEST(TensorOps, KaimingVariance)
         sum_sq += static_cast<double>(w[i]) * w[i];
     // Variance should be ~2/fan_in.
     EXPECT_NEAR(sum_sq / w.numel(), 2.0 / 128, 0.002);
+}
+
+TEST(TensorOps, FillNormalBitIdenticalAcrossThreadCounts)
+{
+    // The uniforms are drawn serially in 64 Ki-element blocks and
+    // transformed in parallel; every size (one partial block, exactly
+    // one block, several blocks and a tail) must still equal the serial
+    // rng.normal() sequence and leave the generator two draws per
+    // element on.
+    for (const int64_t n : {int64_t{1000}, int64_t{64 * 1024 - 1},
+                            int64_t{64 * 1024}, int64_t{3 * 64 * 1024 + 17}}) {
+        Rng ref_rng(5);
+        std::vector<float> want(static_cast<size_t>(n));
+        for (float &v : want)
+            v = static_cast<float>(ref_rng.normal(0.0, 0.05f));
+        const uint64_t want_next = ref_rng.next();
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " threads="
+                                            << threads);
+            ThreadsEnv env(threads);
+            Rng rng(5);
+            Tensor t({n});
+            fillNormal(t, rng, 0.05f);
+            EXPECT_EQ(0, std::memcmp(t.data(), want.data(),
+                                     want.size() * sizeof(float)));
+            EXPECT_EQ(rng.next(), want_next);
+        }
+    }
 }
 
 TEST(TensorOps, FillUniformRange)
